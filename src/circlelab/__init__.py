@@ -5,20 +5,15 @@ from .core import (
     CircleInterval,
     GridFunction,
     PiecewiseLinearFunction,
-    eval_pl,
-    pl_sum,
     reduce_angle,
     sample,
-    simplify,
     total_variation,
     triangle,
 )
 from .fourier import (
     SpectrumCoeffs,
     dft_coeffs,
-    fejer_sum,
     harmonic,
-    pl_coeffs_closed_form,
     pl_mean,
     pl_spectrum,
     synthesize,
@@ -56,7 +51,6 @@ from .stieltjes import (
 )
 from .homeo import (
     PLHomeomorphism,
-    compose_homeo,
     from_increments,
     random_homeomorphism,
     superpose,

@@ -19,13 +19,20 @@ from .fourier import pl_spectrum
 from .seminorm import ModulusSpec, sobolev_integral, sobolev_spectral
 from .construction import TriangleSystem, build_delta_sequence, build_f, build_u, build_v, place_intervals
 from .stieltjes import pairing_report
-from .experiments import VerifyConfig, emit, lacunary_fixture, run_obstruction, verify_all
+from .experiments import VerifyConfig, emit, lacunary_fixture, run_obstruction, verify_all, write_pairing_csv
 
 _THIRD = 1.0 / 3.0
 
+_ALIASES = {"alpha": "omega.alpha"}
+_CONFIG_KEYS = {
+    "alpha", "omega.alpha", "omega.kind", "placement.gap_rule", "blocks", "knots", "seed",
+    "alt_seed", "truncation", "s", "grid", "max_freq", "budget", "terms",
+}
+
 
 def parse_config(path: str | Path) -> dict:
-    """Flat KEY=VALUE lines; '#' starts a comment; keys mirror the flags."""
+    """Flat KEY=VALUE lines; '#' starts a comment; keys mirror the flags.
+    An unknown key is an error, so a typo never falls back to a default."""
     out = {}
     for raw_line in Path(path).read_text().splitlines():
         line = raw_line.split("#", 1)[0].strip()
@@ -33,8 +40,10 @@ def parse_config(path: str | Path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw_line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r} in line {raw_line!r}")
+        out[key] = value
     if out.get("omega.kind", "power") != "power":
         raise ValueError("only omega.kind=power is supported on the command line")
     if out.get("placement.gap_rule", "equal") != "equal":
@@ -46,8 +55,7 @@ def _resolve(args, cfg: dict, name: str, default, cast):
     value = getattr(args, name, None)
     if value is not None:
         return value
-    aliases = {"alpha": "omega.alpha", "truncation": "truncation"}
-    for key in (name, aliases.get(name, name)):
+    for key in (name, _ALIASES.get(name)):
         if key in cfg:
             return cast(cfg[key])
     return default
@@ -195,10 +203,7 @@ def main(argv=None) -> int:
         if args.out:
             Path(args.out).write_text(text + "\n")
         if args.csv:
-            target = Path(args.csv)
-            (written,) = emit(report, "csv", target.parent)
-            if written != target:
-                written.replace(target)
+            write_pairing_csv(report, args.csv)
         print(text)
         ok = bool(np.all(report.per_interval >= report.lb_terms - 1e-12))
         return 0 if ok else 1

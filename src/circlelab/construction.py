@@ -305,15 +305,11 @@ def truncate_un(u: PiecewiseLinearFunction, n: int) -> PiecewiseLinearFunction:
         raise ValueError("truncation index must be a positive integer")
     if not u.is_real:
         raise ValueError("truncation applies to real-valued functions")
-    if not u.periodic:
-        raise ValueError("truncation expects a periodic function")
     c = 1.0 / n
     t = u.knots
     y = u.values.real
-    if t.size == 1:
-        return PiecewiseLinearFunction(t, np.array([max(float(y[0]), c)], dtype=complex))
-    t_next = np.concatenate([t[1:], [t[0] + TWO_PI]])
-    y_next = np.concatenate([y[1:], [y[0]]])
+    t_next = u.ext_knots[1:]
+    y_next = u.ext_values.real[1:]
     crossing = (y - c) * (y_next - c) < 0.0
     tc = t[crossing] + (c - y[crossing]) / (y_next[crossing] - y[crossing]) * (
         t_next[crossing] - t[crossing]

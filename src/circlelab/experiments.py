@@ -59,7 +59,7 @@ from .construction import (
     place_intervals,
     truncate_un,
 )
-from .stieltjes import duality_check, fourier_pairing, pairing_report, rs_integral
+from .stieltjes import StieltjesReport, duality_check, fourier_pairing, pairing_report, rs_integral
 from .homeo import PLHomeomorphism, from_increments, random_homeomorphism, superpose
 
 __all__ = [
@@ -72,6 +72,7 @@ __all__ = [
     "LacunaryReport",
     "lacunary_fixture",
     "emit",
+    "write_pairing_csv",
 ]
 
 SCOPE_NOTE = (
@@ -320,7 +321,7 @@ def _random_pl(rng, max_knots: int = 64, complex_values: bool = False) -> Piecew
     knots = np.sort(rng.uniform(0.0, TWO_PI, m))
     # keep gaps (hence slopes) moderate so rounding stays far below the
     # exactness tolerances the audits assert
-    while np.min(np.diff(knots, append=knots[0] + TWO_PI)) < 1e-4:
+    while min(np.min(np.diff(knots)), knots[0] + TWO_PI - knots[-1]) < 1e-4:
         knots = np.sort(rng.uniform(0.0, TWO_PI, m))
     vals = rng.uniform(-1.0, 1.0, m)
     if complex_values:
@@ -601,12 +602,9 @@ class _ProductObjective:
         self.best_products = None
 
     def _grid_seminorm(self, f: PiecewiseLinearFunction) -> float:
-        t = f.knots
-        y = f.values.real
-        te = np.concatenate([t, [t[0] + TWO_PI]])
-        ye = np.concatenate([y, [y[0]]])
+        te = f.ext_knots
         pos = np.where(self.t_grid < te[0], self.t_grid + TWO_PI, self.t_grid)
-        samples = np.interp(pos, te, ye)
+        samples = np.interp(pos, te, f.ext_values.real)
         big = np.fft.rfft(samples) / self.grid_n
         return math.sqrt(2.0 * float(np.sum(np.abs(big[1 : self.max_freq + 1]) ** 2 * self.k_weights)))
 
@@ -768,43 +766,31 @@ def _json_dump(path: Path, payload) -> Path:
     return path
 
 
-def emit(results, fmt: str, outdir) -> list:
-    """Write results deterministically; same inputs yield identical bytes."""
+def emit(records, fmt: str, outdir) -> list:
+    """Write obstruction records to ``outdir`` as obstruction.json or
+    obstruction.csv; the same records yield identical bytes."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    if isinstance(results, list) and results and isinstance(results[0], ObstructionRecord):
-        if fmt == "json":
-            paths.append(
-                _json_dump(outdir / "obstruction.json", {"records": [r.to_dict() for r in results]})
-            )
-        else:
-            path = outdir / "obstruction.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["J", "K", "sup_lower_bound", "min_product", "evals"])
-                for r in results:
-                    writer.writerow(
-                        [r.blocks, r.tents, repr(r.sup_lower_bound), repr(r.best_objective), r.evals]
-                    )
-            paths.append(path)
-        return paths
-    if hasattr(results, "csv_rows") and fmt == "csv":
-        path = outdir / "stieltjes.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "w_k", "contribution", "lower_bound_term"])
-            for row in results.csv_rows():
-                writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
-        return [path]
-    if hasattr(results, "to_dict"):
-        payload = results.to_dict()
-    elif isinstance(results, dict):
-        payload = results
-    else:
-        raise TypeError(f"cannot emit results of type {type(results)!r}")
-    if fmt == "csv":
-        raise ValueError("csv emission is supported for record lists and reports only")
-    return [_json_dump(outdir / "report.json", payload)]
+    if fmt == "json":
+        return [_json_dump(outdir / "obstruction.json", {"records": [r.to_dict() for r in records]})]
+    path = outdir / "obstruction.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["J", "K", "sup_lower_bound", "min_product", "evals"])
+        for r in records:
+            writer.writerow([r.blocks, r.tents, repr(r.sup_lower_bound), repr(r.best_objective), r.evals])
+    return [path]
+
+
+def write_pairing_csv(report: StieltjesReport, path) -> Path:
+    """Write a pairing report's per-tent rows to ``path`` as CSV."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["k", "w_k", "contribution", "lower_bound_term"])
+        for row in report.csv_rows():
+            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+    return path

@@ -26,10 +26,8 @@ from .core import TWO_PI, GridFunction, PiecewiseLinearFunction, _readonly
 __all__ = [
     "SpectrumCoeffs",
     "dft_coeffs",
-    "pl_coeffs_closed_form",
     "pl_spectrum",
     "pl_mean",
-    "fejer_sum",
     "synthesize",
     "harmonic",
 ]
@@ -95,32 +93,12 @@ def dft_coeffs(g: GridFunction, max_freq: int | None = None) -> SpectrumCoeffs:
     return SpectrumCoeffs(max_freq, big[ks % n])
 
 
-def _slope_jumps(f: PiecewiseLinearFunction):
-    """Knot positions and slope jumps (slope after minus slope before)."""
-    if not f.periodic:
-        raise ValueError("closed-form spectrum requires a periodic function")
-    t = f.knots
-    v = f.values
-    if t.size < 2:
-        return t, np.zeros(t.shape, dtype=complex)
-    t_ext = np.concatenate([t, [t[0] + TWO_PI]])
-    v_ext = np.concatenate([v, [v[0]]])
-    slopes = np.diff(v_ext) / np.diff(t_ext)
-    jumps = slopes - np.roll(slopes, 1)
-    return t, jumps
-
-
 def pl_mean(f: PiecewiseLinearFunction) -> complex:
     """fhat(0): the exact trapezoid mean over one period."""
-    if not f.periodic:
-        raise ValueError("mean over the circle requires a periodic function")
-    t = f.knots
-    v = f.values
-    if t.size == 1:
-        return complex(v[0])
-    t_ext = np.concatenate([t, [t[0] + TWO_PI]])
-    v_ext = np.concatenate([v, [v[0]]])
-    pieces = 0.5 * (v_ext[:-1] + v_ext[1:]) * np.diff(t_ext)
+    if f.n_knots == 1:
+        return complex(f.values[0])
+    v_ext = f.ext_values
+    pieces = 0.5 * (v_ext[:-1] + v_ext[1:]) * np.diff(f.ext_knots)
     return complex(np.sum(pieces) / TWO_PI)
 
 
@@ -149,16 +127,6 @@ def _jump_transform(x: np.ndarray, jumps: np.ndarray, ks: np.ndarray) -> np.ndar
     return out
 
 
-def pl_coeffs_closed_form(f: PiecewiseLinearFunction, k: int) -> complex:
-    """Exact Fourier coefficient of a continuous periodic PL function."""
-    k = int(k)
-    if k == 0:
-        return pl_mean(f)
-    x, jumps = _slope_jumps(f)
-    s = complex(np.sum(jumps * np.exp(-1j * k * x)))
-    return -s / (TWO_PI * k * k)
-
-
 def pl_spectrum(f: PiecewiseLinearFunction, max_freq: int) -> SpectrumCoeffs:
     """Closed-form spectrum of a PL function for all |k| <= max_freq."""
     max_freq = int(max_freq)
@@ -168,27 +136,16 @@ def pl_spectrum(f: PiecewiseLinearFunction, max_freq: int) -> SpectrumCoeffs:
     out[max_freq] = pl_mean(f)
     if max_freq == 0 or f.n_knots < 2:
         return SpectrumCoeffs(max_freq, out)
-    x, jumps = _slope_jumps(f)
     ks = np.arange(1, max_freq + 1)
     denom = -TWO_PI * ks.astype(float) ** 2
-    pos = _jump_transform(x, jumps, ks) / denom
+    pos = _jump_transform(f.knots, f.jumps, ks) / denom
     out[max_freq + 1 :] = pos
     if f.is_real:
         out[:max_freq] = np.conj(pos[::-1])
     else:
-        neg = _jump_transform(x, jumps, -ks) / denom
+        neg = _jump_transform(f.knots, f.jumps, -ks) / denom
         out[:max_freq] = neg[::-1]
     return SpectrumCoeffs(max_freq, out)
-
-
-def fejer_sum(c: SpectrumCoeffs, order: int) -> SpectrumCoeffs:
-    """Cesaro-mean spectrum: coefficients scaled by (1 - |k|/order), zero
-    for |k| >= order.  Coefficient magnitudes never increase."""
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    weights = np.clip(1.0 - np.abs(c.k_values) / order, 0.0, None)
-    return SpectrumCoeffs(c.max_freq, c.coeffs * weights)
 
 
 def synthesize(c: SpectrumCoeffs, n: int) -> GridFunction:

@@ -23,7 +23,6 @@ from .core import TWO_PI, PiecewiseLinearFunction, _readonly, reduce_angle
 __all__ = [
     "PLHomeomorphism",
     "from_increments",
-    "compose_homeo",
     "superpose",
     "random_homeomorphism",
 ]
@@ -102,15 +101,6 @@ def from_increments(raw) -> PLHomeomorphism:
     return PLHomeomorphism(kin, kout)
 
 
-def compose_homeo(h1: PLHomeomorphism, h2: PLHomeomorphism) -> PLHomeomorphism:
-    """Exact composition h1 o h2 on the merged knot set."""
-    z = h2.invert().apply(h1.knots_in)
-    kin = np.unique(np.concatenate([h2.knots_in, np.atleast_1d(z)]))
-    kout = h1.apply(h2.apply(kin))
-    keep = np.concatenate([[True], (np.diff(kin) > 0.0) & (np.diff(kout) > 0.0)])
-    return PLHomeomorphism(kin[keep], kout[keep])
-
-
 def superpose(f: PiecewiseLinearFunction, h: PLHomeomorphism) -> PiecewiseLinearFunction:
     """Exact PL representation of f o h.
 
@@ -118,8 +108,6 @@ def superpose(f: PiecewiseLinearFunction, h: PLHomeomorphism) -> PiecewiseLinear
     over exactly -- f's knot values at the preimages, f evaluated at h's
     exact output knots elsewhere.
     """
-    if not f.periodic:
-        raise ValueError("superposition expects a periodic function")
     z = np.atleast_1d(h.invert().apply(f.knots))
     positions = np.concatenate([z, h.knots_in])
     values = np.concatenate([f.values, f(h.knots_out)])

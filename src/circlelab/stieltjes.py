@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import TWO_PI, PiecewiseLinearFunction, _readonly
 from .construction import TriangleSystem, build_u, build_v, truncate_un
-from .fourier import SpectrumCoeffs, pl_spectrum, _slope_jumps
+from .fourier import SpectrumCoeffs, pl_spectrum
 from .seminorm import sobolev_spectral
 
 __all__ = [
@@ -33,23 +33,17 @@ __all__ = [
 ]
 
 
-def _require_real_periodic(y: PiecewiseLinearFunction, role: str):
-    if not y.periodic:
-        raise ValueError(f"{role} must be periodic")
+def _require_real(y: PiecewiseLinearFunction, role: str):
     if not y.is_real:
         raise ValueError(f"{role} must be real-valued")
 
 
 def rs_integral(x: PiecewiseLinearFunction, y: PiecewiseLinearFunction) -> complex:
     """int_0^{2pi} x(t) dy(t) for continuous PL x (complex ok) and real PL y."""
-    if not x.periodic:
-        raise ValueError("integrand must be periodic")
-    _require_real_periodic(y, "integrator")
+    _require_real(y, "integrator")
     t = np.unique(np.concatenate([x.knots, y.knots]))
-    xa = x(t)
-    ya = y(t).real
-    xa = np.concatenate([xa, [xa[0]]])
-    ya = np.concatenate([ya, [ya[0]]])
+    xa = PiecewiseLinearFunction(t, x(t)).ext_values
+    ya = PiecewiseLinearFunction(t, y(t)).ext_values.real
     dy = np.diff(ya)
     avg = 0.5 * (xa[:-1] + xa[1:])
     return complex(np.sum(avg * dy))
@@ -61,16 +55,14 @@ def fourier_pairing(y: PiecewiseLinearFunction, k) -> complex | np.ndarray:
     Equals -ik * yhat(-k) by integration by parts; computing it directly
     keeps the identity checkable against the closed-form spectrum.
     """
-    _require_real_periodic(y, "integrator")
-    scalar = np.isscalar(k) or np.ndim(k) == 0
+    _require_real(y, "integrator")
+    scalar = np.ndim(k) == 0
     ks = np.atleast_1d(np.asarray(k, dtype=float))
-    t = y.knots
-    v = y.values.real
     out = np.zeros(ks.shape, dtype=complex)
-    if t.size >= 2:
-        t_ext = np.concatenate([t, [t[0] + TWO_PI]])
-        v_ext = np.concatenate([v, [v[0]]])
-        slopes = np.diff(v_ext) / np.diff(t_ext)
+    if y.n_knots >= 2:
+        t_ext = y.ext_knots
+        # real arithmetic: the complex ``slopes`` view rounds differently
+        slopes = np.diff(y.ext_values.real) / np.diff(t_ext)
         nz = ks != 0
         kk = ks[nz][:, None]
         seg = np.exp(1j * kk * t_ext[None, 1:]) - np.exp(1j * kk * t_ext[None, :-1])
@@ -138,17 +130,16 @@ def pairing_report(
         v = build_v(sys)
     un = truncate_un(u, n)
     t = np.unique(np.concatenate([v.knots, un.knots, sys.a, sys.center]))
-    va = v(t).real
-    ua = un(t).real
-    t_ext = np.concatenate([t, [t[0] + TWO_PI]])
-    va = np.concatenate([va, [va[0]]])
-    ua = np.concatenate([ua, [ua[0]]])
+    merged_v = PiecewiseLinearFunction(t, v(t))
+    va = merged_v.ext_values.real
+    ua = PiecewiseLinearFunction(t, un(t)).ext_values.real
     dy = np.diff(ua)
     pieces = 0.5 * (va[:-1] + va[1:]) * dy
     value = float(np.sum(pieces))
 
     per = np.zeros(sys.count)
     if sys.count:
+        t_ext = merged_v.ext_knots
         mids = 0.5 * (t_ext[:-1] + t_ext[1:])
         idx = np.searchsorted(sys.a, mids, side="right") - 1
         inside = (idx >= 0) & (idx < sys.count)
@@ -208,14 +199,13 @@ def duality_check(
     negligible (the truncated right side is an underestimate, so a passing
     check is conservative).
     """
-    _require_real_periodic(y, "integrator")
+    _require_real(y, "integrator")
     pair = fourier_pairing(y, x.k_values)
     lhs = abs(complex(np.sum(x.coeffs * pair)))
     x_norm = sobolev_spectral(x, 0.5)
     y_spec = pl_spectrum(y, max_freq)
     y_norm = sobolev_spectral(y_spec, 0.5)
-    _, jumps = _slope_jumps(y)
-    decay = float(np.sum(np.abs(jumps))) / TWO_PI
+    decay = float(np.sum(np.abs(y.jumps))) / TWO_PI
     tail_sq = (decay / max_freq) ** 2 if max_freq > 0 else math.inf
     if tail_sq > 1e-6 * max(y_norm**2, 1e-300):
         warnings.warn(

@@ -103,3 +103,21 @@ def test_config_rejects_malformed_lines(tmp_path):
     cfg.write_text("this is not a key value pair\n")
     with pytest.raises(ValueError):
         parse_config(cfg)
+
+
+def test_config_rejects_unknown_keys(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("blokcs=2\n")
+    with pytest.raises(ValueError, match="blokcs"):
+        parse_config(cfg)
+
+
+def test_stieltjes_csv_writes_only_its_target(tmp_path):
+    system = tmp_path / "system.json"
+    assert main(["construct", "--blocks", "1", "--out", str(system)]) == 0
+    bystander = tmp_path / "stieltjes.csv"
+    bystander.write_text("keep me\n")
+    target = tmp_path / "pairing.csv"
+    assert main(["stieltjes", "--system", str(system), "--n", "6", "--csv", str(target)]) == 0
+    assert bystander.read_text() == "keep me\n"
+    assert target.read_text().splitlines()[0] == "k,w_k,contribution,lower_bound_term"

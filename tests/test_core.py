@@ -6,13 +6,17 @@ from circlelab import (
     TWO_PI,
     CircleInterval,
     PiecewiseLinearFunction,
-    eval_pl,
-    pl_sum,
+    reduce_angle,
     sample,
-    simplify,
     total_variation,
     triangle,
 )
+
+
+def weighted_sum(functions, weights):
+    """Exact weighted sum of PL functions on the union knot set."""
+    knots = np.unique(np.concatenate([f.knots for f in functions]))
+    return PiecewiseLinearFunction(knots, sum(w * f(knots) for w, f in zip(weights, functions)))
 
 
 def test_triangle_center_and_endpoints():
@@ -41,10 +45,10 @@ def test_interval_validation():
 def test_eval_constant_and_gap():
     const = PiecewiseLinearFunction(np.array([0.0]), np.array([3.5 + 1j]))
     for t in (0.0, 1.0, 6.0):
-        assert eval_pl(const, t) == 3.5 + 1j
-    two = pl_sum([triangle(CircleInterval(1.0, 2.0)), triangle(CircleInterval(3.0, 4.0))])
-    assert eval_pl(two, 2.5) == 0.0
-    assert eval_pl(two, 5.0) == 0.0
+        assert const(t) == 3.5 + 1j
+    two = weighted_sum([triangle(CircleInterval(1.0, 2.0)), triangle(CircleInterval(3.0, 4.0))], [1.0, 1.0])
+    assert two(2.5) == 0.0
+    assert two(5.0) == 0.0
 
 
 def test_sample_knots_on_grid_exact():
@@ -82,7 +86,7 @@ def test_total_variation_weighted_tents():
         triangle(CircleInterval(2.0, 3.0)),
         triangle(CircleInterval(4.0, 5.5)),
     ]
-    u = pl_sum(tents, weights)
+    u = weighted_sum(tents, weights)
     assert abs(total_variation(u) - 2.0 * sum(weights)) < 1e-15
 
 
@@ -107,10 +111,8 @@ def test_collinear_knot_is_invisible():
     knots = np.sort(np.append(tri.knots, 1.25))
     f2 = PiecewiseLinearFunction(knots, tri(knots))
     assert abs(total_variation(f2) - total_variation(tri)) < 1e-12
-    f3 = simplify(f2)
-    # the inserted knot goes, and so does the knot at 0 (flat through the wrap)
-    assert f3.n_knots == 3
-    assert np.max(np.abs(f3(np.linspace(0, 6.2, 100)) - tri(np.linspace(0, 6.2, 100)))) < 1e-14
+    t = np.linspace(0, 6.2, 100)
+    assert np.max(np.abs(f2(t) - tri(t))) < 1e-14
 
 
 def test_validation_rejects_bad_knots():
@@ -146,8 +148,32 @@ def test_tent_slope_bound_property(a, width, t1, t2):
 @given(st.floats(min_value=-10.0, max_value=20.0))
 @settings(max_examples=200, deadline=None)
 def test_reduce_angle_range(t):
-    from circlelab import reduce_angle
-
     r = reduce_angle(t)
     assert 0.0 <= r < TWO_PI
     assert abs((r - t) % TWO_PI) < 1e-9 or abs(((r - t) % TWO_PI) - TWO_PI) < 1e-9
+
+
+def test_reduce_angle_far_and_non_finite():
+    # far angles reduce the same way as scalars and as arrays
+    r = reduce_angle(1e20)
+    assert 0.0 <= r < TWO_PI
+    assert reduce_angle(np.array([1e20]))[0] == r
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            reduce_angle(bad)
+        with pytest.raises(ValueError):
+            reduce_angle(np.array([1.0, bad]))
+
+
+def test_segment_views():
+    f = PiecewiseLinearFunction(np.array([0.5, 2.0, 4.0]), np.array([1.0, 4.0, 0.0], dtype=complex))
+    assert np.array_equal(f.ext_knots, [0.5, 2.0, 4.0, 0.5 + TWO_PI])
+    assert np.array_equal(f.ext_values, [1.0, 4.0, 0.0, 1.0])
+    wrap = 1.0 / (0.5 + TWO_PI - 4.0)
+    assert np.allclose(f.slopes, [2.0, -2.0, wrap], rtol=1e-15, atol=0.0)
+    assert np.allclose(f.jumps, [2.0 - wrap, -4.0, wrap + 2.0], rtol=1e-15, atol=0.0)
+    assert abs(np.sum(f.jumps)) < 1e-15
+    assert np.shares_memory(f.knots, f.ext_knots) and f.jumps is f.jumps
+    for view in (f.knots, f.ext_values, f.jumps):
+        with pytest.raises(ValueError):
+            view[0] = 0.0

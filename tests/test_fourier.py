@@ -8,9 +8,7 @@ from circlelab import (
     PiecewiseLinearFunction,
     SpectrumCoeffs,
     dft_coeffs,
-    fejer_sum,
     harmonic,
-    pl_coeffs_closed_form,
     pl_mean,
     pl_spectrum,
     sample,
@@ -62,7 +60,7 @@ def test_closed_form_against_quadrature():
         re, _ = quad(lambda t: tri(t).real * np.cos(k * t), 0.0, TWO_PI, points=corners, limit=300)
         im, _ = quad(lambda t: -tri(t).real * np.sin(k * t), 0.0, TWO_PI, points=corners, limit=300)
         oracle = (re + 1j * im) / TWO_PI
-        assert abs(pl_coeffs_closed_form(tri, k) - oracle) < 1e-10
+        assert abs(pl_spectrum(tri, 12).coeff(k) - oracle) < 1e-10
 
 
 def test_triangle_slope_jump_formula():
@@ -71,20 +69,21 @@ def test_triangle_slope_jump_formula():
     tri = triangle(interval)
     length = interval.length
     c = interval.center
+    spec = pl_spectrum(tri, 9)
     for k in (1, 2, 9):
         expected = (
             -(1.0 / (TWO_PI * k * k))
             * (2.0 / length)
             * (np.exp(-1j * k * a) - 2.0 * np.exp(-1j * k * c) + np.exp(-1j * k * b))
         )
-        assert abs(pl_coeffs_closed_form(tri, k) - expected) < 1e-15
+        assert abs(spec.coeff(k) - expected) < 1e-15
 
 
 def test_mean_is_area():
     interval = CircleInterval(1.0, 2.5)
     tri = triangle(interval)
     assert abs(pl_mean(tri) - (interval.length / 2.0) / TWO_PI) < 1e-15
-    assert abs(pl_coeffs_closed_form(tri, 0) - pl_mean(tri)) == 0.0
+    assert abs(pl_spectrum(tri, 4).coeff(0) - pl_mean(tri)) == 0.0
 
 
 def test_constant_spectrum_vanishes():
@@ -98,27 +97,6 @@ def test_hermitian_symmetry():
     tri = triangle(CircleInterval(0.5, 4.0))
     assert pl_spectrum(tri, 64).hermitian_defect() == 0.0
     assert dft_coeffs(sample(tri, 1 << 12), 64).hermitian_defect() < 1e-10
-
-
-def test_fejer_order_one_keeps_only_mean():
-    c = pl_spectrum(triangle(CircleInterval(1.0, 2.0)), 8)
-    f1 = fejer_sum(c, 1)
-    assert f1.coeff(0) == c.coeff(0)
-    assert np.max(np.abs(np.delete(f1.coeffs, 8))) == 0.0
-
-
-def test_fejer_kills_high_harmonics():
-    c = harmonic(5, max_freq=8)
-    assert np.max(np.abs(fejer_sum(c, 5).coeffs)) == 0.0
-    assert np.max(np.abs(fejer_sum(c, 4).coeffs)) == 0.0
-
-
-def test_fejer_never_grows_coefficients():
-    rng = np.random.default_rng(3)
-    c = SpectrumCoeffs(16, rng.normal(size=33) + 1j * rng.normal(size=33))
-    for order in (1, 4, 17, 50):
-        f = fejer_sum(c, order)
-        assert np.all(np.abs(f.coeffs) <= np.abs(c.coeffs) + 1e-18)
 
 
 def test_synthesize_round_trip():
@@ -138,17 +116,6 @@ def test_synthesize_single_harmonic():
 def test_synthesize_needs_room():
     with pytest.raises(ValueError):
         synthesize(harmonic(8), 16)
-
-
-def test_fejer_uniform_convergence_trend():
-    tri = triangle(CircleInterval(1.0, 2.0))
-    spec = pl_spectrum(tri, 1024)
-
-    def max_err(order):
-        g = synthesize(fejer_sum(spec, order), 1 << 12)
-        return float(np.max(np.abs(g.samples - tri(g.grid()))))
-
-    assert max_err(512) < max_err(64)
 
 
 def test_parseval_bandlimited():

@@ -10,12 +10,10 @@ from circlelab import (
     PLHomeomorphism,
     build_delta_sequence,
     build_u,
-    compose_homeo,
     from_increments,
     ModulusSpec,
     place_intervals,
     random_homeomorphism,
-    simplify,
     superpose,
     total_variation,
     triangle,
@@ -59,22 +57,6 @@ def test_invert_is_involutive():
     assert np.array_equal(back.knots_out, h.knots_out)
 
 
-def test_compose_with_inverse_is_identity():
-    h = random_homeomorphism(12, rng=4)
-    ident = compose_homeo(h, h.invert())
-    assert np.max(np.abs(ident.apply(ident.knots_in) - ident.knots_in)) < 1e-12
-    t = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-    assert np.max(np.abs(ident.apply(t) - t)) < 1e-12
-
-
-def test_compose_matches_pointwise():
-    h1 = random_homeomorphism(9, rng=8)
-    h2 = random_homeomorphism(13, rng=9)
-    h = compose_homeo(h1, h2)
-    t = np.linspace(0.0, TWO_PI, 200, endpoint=False)
-    assert np.max(np.abs(h.apply(t) - h1.apply(h2.apply(t)))) < 1e-12
-
-
 def test_apply_exact_at_knots():
     h = random_homeomorphism(10, rng=5)
     assert np.array_equal(h.apply(h.knots_in), h.knots_out)
@@ -82,7 +64,7 @@ def test_apply_exact_at_knots():
 
 def test_identity_superpose_returns_function():
     tri = triangle(CircleInterval(1.0, 2.0))
-    fh = simplify(superpose(tri, PLHomeomorphism.identity(4)))
+    fh = superpose(tri, PLHomeomorphism.identity(4))
     t = np.linspace(0.0, TWO_PI, 300, endpoint=False)
     assert np.max(np.abs(fh(t) - tri(t))) < 1e-12
 
