@@ -27,6 +27,7 @@ from .seminorm import (
     harmonic_shift_weight,
     lip_check,
     modulus_of_continuity,
+    pl_seminorm,
     sobolev_integral,
     sobolev_spectral,
 )

@@ -53,7 +53,7 @@ class ConstructionError(RuntimeError):
     """Raised when no representable block sequence satisfies the constraints."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaSequence:
     """Block sequence (eps_j, n_j, N_j) flattened to widths delta_k.
 
@@ -173,7 +173,7 @@ def build_delta_sequence(omega: ModulusSpec, blocks: int, strict: bool = True) -
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleSystem:
     """Disjoint tent intervals I_k = [a_k, b_k] inside (0, 2*pi).
 

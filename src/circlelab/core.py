@@ -83,11 +83,8 @@ class CircleInterval:
     def center(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def contains(self, t: float) -> bool:
-        return self.a <= t <= self.b
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinearFunction:
     """Continuous periodic piecewise-linear function on the circle.
 
@@ -103,8 +100,8 @@ class PiecewiseLinearFunction:
 
     knots: np.ndarray
     values: np.ndarray
-    ext_knots: np.ndarray = field(init=False, repr=False, compare=False)
-    ext_values: np.ndarray = field(init=False, repr=False, compare=False)
+    ext_knots: np.ndarray = field(init=False, repr=False)
+    ext_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         knots = np.atleast_1d(np.asarray(self.knots, dtype=float))
@@ -178,7 +175,7 @@ class PiecewiseLinearFunction:
         return PiecewiseLinearFunction(knots, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Samples of a function at t_j = 2*pi*j/N for a power-of-two N."""
 

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumCoeffs:
     """Two-sided Fourier coefficients fhat(k), k = -max_freq .. max_freq."""
 

@@ -30,7 +30,7 @@ __all__ = [
 _RAW_CLIP = 12.0  # keeps softmax increments representable: spans <= e^24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PLHomeomorphism:
     """Orientation-preserving PL circle homeomorphism with h(0) = 0."""
 

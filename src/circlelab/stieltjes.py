@@ -12,16 +12,14 @@ inequalities checked here.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TWO_PI, PiecewiseLinearFunction, _readonly
 from .construction import TriangleSystem, build_u, build_v, truncate_un
-from .fourier import SpectrumCoeffs, pl_spectrum
-from .seminorm import sobolev_spectral
+from .fourier import SpectrumCoeffs
+from .seminorm import pl_seminorm, sobolev_spectral
 
 __all__ = [
     "StieltjesReport",
@@ -70,7 +68,7 @@ def fourier_pairing(y: PiecewiseLinearFunction, k) -> complex | np.ndarray:
     return complex(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StieltjesReport:
     """Pairing of v against a truncation u_n with per-tent accounting.
 
@@ -171,48 +169,20 @@ class DualityReport:
     holds: bool
     x_seminorm: float
     y_seminorm: float
-    y_tail_sq: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "x_seminorm": self.x_seminorm,
-            "y_seminorm": self.y_seminorm,
-            "y_tail_sq": self.y_tail_sq,
-        }
 
 
-def duality_check(
-    x: SpectrumCoeffs,
-    y: PiecewiseLinearFunction,
-    max_freq: int = 1 << 16,
-    tol: float = 1e-8,
-) -> DualityReport:
+def duality_check(x: SpectrumCoeffs, y: PiecewiseLinearFunction, tol: float = 1e-8) -> DualityReport:
     """Check |(1/2pi) int x dy| <= ||x|| * ||y|| (half-order seminorms).
 
     The left side pairs the bandlimited x with y analytically per harmonic.
-    The right side uses the closed-form spectrum of y truncated at
-    ``max_freq``; the discarded tail of ||y||^2 is bounded analytically via
-    the 1/k^2 coefficient decay and a warning is raised if it is not
-    negligible (the truncated right side is an underestimate, so a passing
-    check is conservative).
+    Both seminorms on the right side are exact: ||x|| sums the finite
+    spectrum of x and ||y|| is the slope-jump sum of ``pl_seminorm``.
     """
     _require_real(y, "integrator")
     pair = fourier_pairing(y, x.k_values)
     lhs = abs(complex(np.sum(x.coeffs * pair)))
     x_norm = sobolev_spectral(x, 0.5)
-    y_spec = pl_spectrum(y, max_freq)
-    y_norm = sobolev_spectral(y_spec, 0.5)
-    decay = float(np.sum(np.abs(y.jumps))) / TWO_PI
-    tail_sq = (decay / max_freq) ** 2 if max_freq > 0 else math.inf
-    if tail_sq > 1e-6 * max(y_norm**2, 1e-300):
-        warnings.warn(
-            f"spectrum truncation tail bound {tail_sq:.3e} is not negligible "
-            f"against ||y||^2 = {y_norm**2:.3e}; increase max_freq",
-            stacklevel=2,
-        )
+    y_norm = pl_seminorm(y)
     rhs = x_norm * y_norm
     return DualityReport(
         lhs=float(lhs),
@@ -220,5 +190,4 @@ def duality_check(
         holds=bool(lhs <= rhs * (1.0 + tol)),
         x_seminorm=float(x_norm),
         y_seminorm=float(y_norm),
-        y_tail_sq=float(tail_sq),
     )

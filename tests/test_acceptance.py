@@ -7,7 +7,6 @@ the runtime at a few minutes.
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -100,9 +99,7 @@ def test_criterion_4_pairing_floors_and_growth():
 
 def test_criterion_5_duality_audit():
     started = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # tail warnings on rare steep draws
-        result = check_duality(200, seed=7, max_freq=1 << 16, tol=1e-8)
+    result = check_duality(200, seed=7, tol=1e-8)
     assert result.passed, result.line()
     identity = check_parts_identity(20, seed=7, k_range=64, tol=1e-10)
     assert identity.passed, identity.line()

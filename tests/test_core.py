@@ -5,18 +5,60 @@ from hypothesis import given, settings, strategies as st
 from circlelab import (
     TWO_PI,
     CircleInterval,
+    ModulusSpec,
     PiecewiseLinearFunction,
+    build_delta_sequence,
+    lip_check,
+    pairing_report,
+    pl_spectrum,
+    place_intervals,
+    random_homeomorphism,
     reduce_angle,
     sample,
     total_variation,
     triangle,
 )
+from circlelab.experiments import run_obstruction
 
 
 def weighted_sum(functions, weights):
     """Exact weighted sum of PL functions on the union knot set."""
     knots = np.unique(np.concatenate([f.knots for f in functions]))
     return PiecewiseLinearFunction(knots, sum(w * f(knots) for w, f in zip(weights, functions)))
+
+
+OMEGA = ModulusSpec.power(1.0 / 3.0)
+TENT = triangle(CircleInterval(1.0, 2.0))
+
+
+def _system():
+    seq = build_delta_sequence(OMEGA, 2)
+    return place_intervals(seq, seq.deltas.size)
+
+
+ARRAY_HOLDERS = {
+    "PiecewiseLinearFunction": lambda: triangle(CircleInterval(1.0, 2.0)),
+    "GridFunction": lambda: sample(TENT, 8),
+    "SpectrumCoeffs": lambda: pl_spectrum(TENT, 4),
+    "PLHomeomorphism": lambda: random_homeomorphism(8, roughness=1.0, rng=np.random.default_rng(1)),
+    "ModulusSpec": lambda: ModulusSpec.table([0.0, 0.5, 1.0], [0.0, 0.7, 1.0]),
+    "DeltaSequence": lambda: build_delta_sequence(OMEGA, 2),
+    "TriangleSystem": _system,
+    "StieltjesReport": lambda: pairing_report(_system(), 6),
+    "LipReport": lambda: lip_check(TENT, ModulusSpec.power(0.5)),
+    "ObstructionRecord": lambda: run_obstruction(
+        OMEGA, [1], knots=4, budget=4, restarts=1, grid_n=1 << 10, max_freq=1 << 8
+    )[0],
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_without_raising(make):
+    # a generated __eq__ would compare array fields elementwise and raise
+    a, b = make(), make()
+    assert (a == a) is True
+    assert isinstance(a == b, bool)
+    assert isinstance(a != b, bool)
 
 
 def test_triangle_center_and_endpoints():

@@ -8,6 +8,7 @@ from circlelab import (
     CircleInterval,
     GridFunction,
     ModulusSpec,
+    PiecewiseLinearFunction,
     SpectrumCoeffs,
     default_delta_grid,
     equivalence_scan,
@@ -15,11 +16,89 @@ from circlelab import (
     harmonic_shift_weight,
     lip_check,
     modulus_of_continuity,
+    pl_seminorm,
+    pl_spectrum,
+    sample,
     sobolev_integral,
     sobolev_spectral,
     synthesize,
     triangle,
 )
+from circlelab.experiments import _random_pl
+
+
+def test_pl_seminorm_matches_mpmath_clausen_sum():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        f = _random_pl(rng, 20)
+        with mpmath.workdps(40):
+            x = [mpmath.mpf(float(t)) for t in f.knots]
+            jumps = [mpmath.mpf(float(j)) for j in f.jumps.real]
+            # C3(0) = zeta(3) on the diagonal, each off-diagonal pair twice
+            total = mpmath.zeta(3) * mpmath.fsum(j * j for j in jumps)
+            total += 2 * mpmath.fsum(
+                jumps[i] * jumps[l] * mpmath.clcos(3, x[l] - x[i])
+                for i in range(len(x))
+                for l in range(i + 1, len(x))
+            )
+            exact = float(mpmath.sqrt(total / (2 * mpmath.pi**2)))
+        assert pl_seminorm(f) == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def test_pl_seminorm_bounds_and_is_approached_by_truncated_spectra():
+    f = _random_pl(np.random.default_rng(3), 64)
+    exact = pl_seminorm(f)
+    gaps = [exact - sobolev_spectral(pl_spectrum(f, 1 << p), 0.5) for p in range(6, 17)]
+    assert all(g > 0.0 for g in gaps)
+    assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 1e-5 * exact
+
+
+def test_pl_seminorm_unit_tent_closed_form():
+    # ||tent||^2 = (2 / (pi^2 L^2)) (2 K(L) - 8 K(L/2)) with K = C3 - zeta(3)
+    mpmath = pytest.importorskip("mpmath")
+
+    def K(t):
+        return mpmath.clcos(3, t) - mpmath.zeta(3)
+
+    for a, width in ((1.0, 0.001), (1.0, 0.5), (0.5, 2.0), (1.0, 3.0), (0.1, 6.0)):
+        with mpmath.workdps(40):
+            L = mpmath.mpf(width)
+            exact = float(mpmath.sqrt(2 / (mpmath.pi**2 * L**2) * (2 * K(L) - 8 * K(L / 2))))
+        tent = triangle(CircleInterval(a, a + width))
+        assert pl_seminorm(tent) == pytest.approx(exact, rel=1e-12)
+
+
+def test_pl_seminorm_complex_is_sum_of_parts():
+    f = _random_pl(np.random.default_rng(5), 64, complex_values=True)
+    re = PiecewiseLinearFunction(f.knots, f.values.real)
+    im = PiecewiseLinearFunction(f.knots, f.values.imag)
+    assert pl_seminorm(f) ** 2 == pytest.approx(pl_seminorm(re) ** 2 + pl_seminorm(im) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_pl_seminorm_agrees_with_difference_quotient_form(complex_values):
+    # |||e^{ikt}|||^2 = 2 pi w(k) with w(k) = 2|k| Si(2 pi |k|), so
+    # |||f|||^2 = 2 pi^2 ||f||^2 - 4 pi sum_k |k| (pi/2 - Si(2 pi |k|)) |fhat(k)|^2;
+    # the correction decays like |fhat(k)|^2, so K = 2^12 leaves ~1e-7
+    from scipy.special import sici
+
+    f = _random_pl(np.random.default_rng(11), 64, complex_values=complex_values)
+    spec = pl_spectrum(f, 1 << 12)
+    k = np.abs(spec.k_values).astype(float)
+    correction = 4 * math.pi * np.sum(k * (0.5 * math.pi - sici(TWO_PI * k)[0]) * np.abs(spec.coeffs) ** 2)
+    predicted = 2 * math.pi**2 * pl_seminorm(f) ** 2 - correction
+    # the grid error of the difference-quotient form shrinks like 1/N
+    errors = [abs(sobolev_integral(sample(f, n)) ** 2 - predicted) / predicted for n in (1 << 12, 1 << 14)]
+    assert errors[1] < 3e-3
+    assert errors[1] < 0.5 * errors[0]
+
+
+def test_pl_seminorm_constant_and_single_knot_vanish():
+    assert pl_seminorm(PiecewiseLinearFunction(np.array([2.0]), np.array([4.0 + 1j]))) == 0.0
+    flat = PiecewiseLinearFunction(np.array([0.0, 1.0, 2.0]), np.full(3, -3.0 + 0j))
+    assert pl_seminorm(flat) == 0.0
 
 
 def test_spectral_single_harmonic():

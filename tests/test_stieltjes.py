@@ -90,7 +90,7 @@ def test_rs_integral_matches_analytic_pairing_on_dense_pl():
 def test_duality_single_harmonic_tent():
     y = triangle(CircleInterval(1.0, 2.0))
     x = harmonic(1)
-    rep = duality_check(x, y, max_freq=1 << 12)
+    rep = duality_check(x, y)
     yspec = pl_spectrum(y, 4)
     assert abs(rep.lhs - abs(yspec.coeff(-1))) < 1e-12
     assert rep.holds and rep.lhs < rep.rhs  # strict: other harmonics carry mass
@@ -99,14 +99,14 @@ def test_duality_single_harmonic_tent():
 def test_duality_constant_integrand():
     y = triangle(CircleInterval(1.0, 2.0))
     x = SpectrumCoeffs(1, np.array([0.0, 5.0, 0.0], dtype=complex))
-    rep = duality_check(x, y, max_freq=256)
+    rep = duality_check(x, y)
     assert rep.lhs == 0.0 and rep.holds
 
 
 def test_duality_random_audit():
     from circlelab.experiments import check_duality
 
-    result = check_duality(50, seed=7, max_freq=1 << 14)
+    result = check_duality(50, seed=7)
     assert result.passed, result.line()
 
 
