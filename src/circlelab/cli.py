@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import PiecewiseLinearFunction, sample
 from .fourier import pl_spectrum
-from .seminorm import ModulusSpec, sobolev_integral, sobolev_spectral
+from .seminorm import ModulusSpec, pl_seminorm, sobolev_integral, sobolev_spectral
 from .construction import TriangleSystem, build_delta_sequence, build_f, build_u, build_v, place_intervals
 from .stieltjes import pairing_report
 from .experiments import VerifyConfig, emit, lacunary_fixture, run_obstruction, verify_all, write_pairing_csv
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exploratory", action="store_true")
     _add_common(p)
 
-    p = sub.add_parser("seminorm", help="both seminorms of a stored PL function")
+    p = sub.add_parser("seminorm", help="seminorms of a stored PL function (exact too at s = 1/2)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--s", type=float)
     p.add_argument("--grid", type=int)
@@ -188,7 +188,9 @@ def main(argv=None) -> int:
         max_freq = _resolve(args, cfg, "max_freq", grid // 4, int)
         spectral = sobolev_spectral(pl_spectrum(f, max_freq), s)
         integral = sobolev_integral(sample(f, grid))
-        payload = {"spectral": spectral, "integral": integral, "s": s, "N": grid}
+        payload = {"spectral": spectral, "max_freq": max_freq, "integral": integral, "s": s, "N": grid}
+        if s == 0.5:
+            payload["exact"] = pl_seminorm(f)
         text = json.dumps(payload, indent=2, sort_keys=True)
         if args.out:
             Path(args.out).write_text(text + "\n")

@@ -579,9 +579,14 @@ class ObstructionRecord:
 class _ProductObjective:
     """max_n ||v o h|| * ||u_n o h|| with built-in lower-bound auditing.
 
-    Spectral seminorms are computed from real FFTs of N-grid samples,
-    truncated at ``max_freq``; the per-n lower bounds are exact constants
-    precomputed from the pairing, so auditing every evaluation is free.
+    Each evaluation samples v o h and u o h once on the N-point grid.
+    Sampling commutes with the pointwise max, so max(samples of u o h, 1/n)
+    are the samples of u_n o h = ``truncate_un(u o h, n)`` and no truncated
+    PL function is built.  Spectral seminorms come from real FFTs of the
+    samples, truncated at ``max_freq``, into buffers allocated once; the
+    levels run one at a time, so one N-sample row is live, not one per
+    level.  The per-n lower bounds are exact constants precomputed from the
+    pairing, so auditing every evaluation is free.
     """
 
     def __init__(self, u, v, n_grid, bounds, grid_n, max_freq, audit_tol):
@@ -594,27 +599,37 @@ class _ProductObjective:
         self.audit_tol = float(audit_tol)
         self.t_grid = np.arange(self.grid_n) * (TWO_PI / self.grid_n)
         self.k_weights = np.arange(1, self.max_freq + 1, dtype=float)
+        self._row = np.empty(self.grid_n)
+        self._spectrum = np.empty(self.grid_n // 2 + 1, dtype=complex)
+        self._power = np.empty(self.max_freq)
         self.evals = 0
         self.violations = 0
         self.best_objective = math.inf
         self.best_raw = None
         self.best_products = None
 
-    def _grid_seminorm(self, f: PiecewiseLinearFunction) -> float:
+    def _sample(self, f: PiecewiseLinearFunction) -> np.ndarray:
         te = f.ext_knots
         pos = np.where(self.t_grid < te[0], self.t_grid + TWO_PI, self.t_grid)
-        samples = np.interp(pos, te, f.ext_values.real)
-        big = np.fft.rfft(samples) / self.grid_n
-        return math.sqrt(2.0 * float(np.sum(np.abs(big[1 : self.max_freq + 1]) ** 2 * self.k_weights)))
+        return np.interp(pos, te, f.ext_values.real)
+
+    def _seminorm(self, samples: np.ndarray) -> float:
+        big = np.fft.rfft(samples, out=self._spectrum)[1 : self.max_freq + 1]
+        big /= self.grid_n
+        power = np.abs(big, out=self._power)
+        np.square(power, out=power)
+        power *= self.k_weights
+        return math.sqrt(2.0 * float(np.sum(power)))
 
     def evaluate(self, raw) -> tuple[float, np.ndarray]:
         h = from_increments(raw)
         vh = superpose(self.v, h)
         uh = superpose(self.u, h)
-        nv = self._grid_seminorm(vh)
-        products = np.array(
-            [nv * self._grid_seminorm(truncate_un(uh, n)) for n in self.n_grid]
-        )
+        nv = self._seminorm(self._sample(vh))
+        uh_samples = self._sample(uh)
+        products = np.empty(len(self.n_grid))
+        for i, n in enumerate(self.n_grid):
+            products[i] = nv * self._seminorm(np.maximum(uh_samples, 1.0 / n, out=self._row))
         self.evals += 1
         if np.any(products * (1.0 + self.audit_tol) < self.bounds):
             self.violations += 1
@@ -648,6 +663,13 @@ def run_obstruction(
     so records do not depend on execution order and identical inputs give
     identical records.
     """
+    grid_n, max_freq, restarts = int(grid_n), int(max_freq), int(restarts)
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    if not 1 <= max_freq <= grid_n // 2:
+        raise ValueError(f"max_freq must be in 1..grid_n // 2 = {grid_n // 2}, got {max_freq}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     records = []
     for blocks in block_counts:
         seq = build_delta_sequence(omega, int(blocks), strict=strict)
@@ -661,8 +683,8 @@ def run_obstruction(
         certified = [r.lower_bound / TWO_PI for r in reports]
         engine = _ProductObjective(u, v, n_grid, lower_bounds, grid_n, max_freq, audit_tol)
         _, identity_products = engine.evaluate(np.zeros(int(knots)))
-        per_restart = max(1, int(budget) // int(restarts))
-        for r in range(int(restarts)):
+        per_restart = max(1, int(budget) // restarts)
+        for r in range(restarts):
             rng = np.random.default_rng([int(seed), int(blocks), r])
             x0 = rng.uniform(-roughness, roughness, int(knots))
             with warnings.catch_warnings():

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Every tolerance and
 budget is pinned here; the obstruction experiment (criterion 9) dominates
-the runtime at a few minutes.
+the runtime at about a minute.
 """
 
 import math

@@ -28,6 +28,20 @@ def test_construct_then_seminorm_then_stieltjes(tmp_path, capsys):
     assert len(lines) == 11  # ten tents from two blocks
 
 
+def test_seminorm_reports_the_exact_value_beside_the_truncated_one(tmp_path, capsys):
+    from circlelab import PiecewiseLinearFunction, pl_seminorm
+
+    out = tmp_path / "system.json"
+    assert main(["construct", "--blocks", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["seminorm", "--in", str(out), "--field", "v"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    v = PiecewiseLinearFunction.from_dict(json.loads(out.read_text())["v"])
+    assert report["max_freq"] == (1 << 14) // 4
+    assert report["exact"] == pl_seminorm(v)
+    assert report["exact"] >= report["spectral"]
+
+
 def test_seminorm_accepts_bare_pl(tmp_path):
     from circlelab import CircleInterval, triangle
 

@@ -5,9 +5,20 @@ import warnings
 import numpy as np
 import pytest
 
-from circlelab import ModulusSpec, build_delta_sequence, build_u, build_v, place_intervals
+from circlelab import (
+    ModulusSpec,
+    build_delta_sequence,
+    build_u,
+    build_v,
+    from_increments,
+    place_intervals,
+    sample,
+    superpose,
+    truncate_un,
+)
 from circlelab.experiments import (
     ObstructionRecord,
+    _ProductObjective,
     VerifyConfig,
     check_construction_geometry,
     check_pairing,
@@ -145,3 +156,56 @@ def test_exploratory_sqrt_modulus_runs():
         grid_n=1 << 12, max_freq=1 << 10, strict=False,
     )
     assert records[0].violations == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"max_freq": 0}, "max_freq"),
+        ({"grid_n": 1 << 10, "max_freq": (1 << 9) + 1}, "max_freq"),
+        ({"grid_n": 0}, "grid_n"),
+        ({"restarts": 0}, "restarts"),
+    ],
+)
+def test_run_obstruction_rejects_bad_inputs(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        run_obstruction(OMEGA, [1], knots=4, budget=4, **kwargs)
+
+
+def _objective(blocks, grid_n=1 << 16, max_freq=1 << 14):
+    seq = build_delta_sequence(OMEGA, blocks)
+    sys_ = place_intervals(seq, seq.deltas.size)
+    u, v = build_u(sys_), build_v(sys_)
+    n_grid = sorted({math.ceil(3.0 / w) for w in sys_.weight.tolist()})
+    return _ProductObjective(u, v, n_grid, np.zeros(len(n_grid)), grid_n, max_freq, 1e-6)
+
+
+def _reference_seminorm(f, grid_n, max_freq):
+    big = np.fft.rfft(sample(f, grid_n).samples.real) / grid_n
+    k = np.arange(1, max_freq + 1)
+    return math.sqrt(2.0 * float(np.sum(np.abs(big[1 : max_freq + 1]) ** 2 * k)))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+def test_objective_matches_truncated_pl_path(blocks):
+    engine = _objective(blocks)
+    n, m = engine.grid_n, engine.max_freq
+    for seed in range(3):
+        raw = np.random.default_rng([seed, blocks]).uniform(-0.3, 0.3, 32)
+        _, products = engine.evaluate(raw)
+        h = from_increments(raw)
+        uh = superpose(engine.u, h)
+        nv = _reference_seminorm(superpose(engine.v, h), n, m)
+        expected = [nv * _reference_seminorm(truncate_un(uh, k), n, m) for k in engine.n_grid]
+        np.testing.assert_allclose(products, expected, rtol=1e-12, atol=0.0)
+
+
+def test_later_evaluations_leave_earlier_results_alone():
+    engine = _objective(3, grid_n=1 << 12, max_freq=1 << 10)
+    _, first = engine.evaluate(np.zeros(8))
+    first_copy, best, best_copy = first.copy(), engine.best_products, engine.best_products.copy()
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        engine.evaluate(rng.uniform(-0.3, 0.3, 8))
+    np.testing.assert_array_equal(first, first_copy)
+    np.testing.assert_array_equal(best, best_copy)
