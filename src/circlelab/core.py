@@ -194,9 +194,6 @@ class GridFunction:
         object.__setattr__(self, "n_samples", n)
         object.__setattr__(self, "samples", _readonly(samples))
 
-    def grid(self) -> np.ndarray:
-        return np.arange(self.n_samples) * (TWO_PI / self.n_samples)
-
 
 def triangle(interval: CircleInterval) -> PiecewiseLinearFunction:
     """Unit tent supported on ``interval``: 0 at the endpoints and outside,

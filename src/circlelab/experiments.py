@@ -194,22 +194,16 @@ def check_tent_slope(count: int, seed: int, tol: float = 1e-12) -> SuiteResult:
     )
 
 
-def check_modulus_bounds(
-    u: PiecewiseLinearFunction,
-    v: PiecewiseLinearFunction,
-    omega: ModulusSpec,
-    constant: float = 8.0,
-    delta_grid=None,
-) -> SuiteResult:
-    """Both construction profiles stay in the omega class with the stated constant."""
-    ru = lip_check(u, omega, delta_grid)
-    rv = lip_check(v, omega, delta_grid)
+def check_modulus_bounds(u: PiecewiseLinearFunction, v: PiecewiseLinearFunction, omega: ModulusSpec) -> SuiteResult:
+    """Both construction profiles stay in the omega class with constant 8."""
+    ru = lip_check(u, omega)
+    rv = lip_check(v, omega)
     worst = max(ru.max_ratio, rv.max_ratio)
-    passed = worst <= constant + 1e-9
+    passed = worst <= 8.0 + 1e-9
     return SuiteResult(
         "modulus-bound",
         passed,
-        f"max ratio u={ru.max_ratio:.4f}, v={rv.max_ratio:.4f} (bound {constant})",
+        f"max ratio u={ru.max_ratio:.4f}, v={rv.max_ratio:.4f} (bound 8.0)",
         None if passed else f"delta={ru.deltas[int(np.argmax(ru.ratios))]}",
     )
 

@@ -61,22 +61,6 @@ class SpectrumCoeffs:
             return 0.0 + 0.0j
         return complex(self.coeffs[self.max_freq + k])
 
-    def hermitian_defect(self) -> float:
-        """max_k |fhat(-k) - conj(fhat(k))|; zero for spectra of real functions."""
-        return float(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))))
-
-    def to_dict(self) -> dict:
-        return {
-            "kmax": self.max_freq,
-            "re": self.coeffs.real.tolist(),
-            "im": self.coeffs.imag.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SpectrumCoeffs":
-        c = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        return SpectrumCoeffs(int(d["kmax"]), c)
-
 
 def dft_coeffs(g: GridFunction, max_freq: int | None = None) -> SpectrumCoeffs:
     """Discrete approximation of the Fourier coefficients from grid samples.
@@ -102,27 +86,24 @@ def pl_mean(f: PiecewiseLinearFunction) -> complex:
     return complex(np.sum(pieces) / TWO_PI)
 
 
-def _jump_transform(x: np.ndarray, jumps: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """sum_j jumps_j * e^{-i k x_j} for every k, chunked to bound memory.
+def _jump_transform(x: np.ndarray, jumps: np.ndarray, sign: int, max_freq: int) -> np.ndarray:
+    """sum_j jumps_j * e^{-i k x_j} for k = sign * (1..max_freq), chunked to
+    bound memory.
 
-    For consecutive k (the spectrum sweep) the phase matrix is built by a
-    cumulative product anchored exactly at each chunk start, which is far
-    cheaper than exponentiating every entry; the accumulated rounding stays
-    below chunk_length * eps in relative terms.
+    The phase matrix is built by a cumulative product anchored exactly at
+    each chunk start, which is far cheaper than exponentiating every entry;
+    the accumulated rounding stays below chunk_length * eps in relative terms.
     """
+    ks = sign * np.arange(1, max_freq + 1)
     out = np.empty(ks.size, dtype=complex)
     step = max(1, int(4_000_000 // max(x.size, 1)))
-    consecutive = ks.size > 1 and np.all(np.diff(ks) == ks[1] - ks[0]) and abs(ks[1] - ks[0]) == 1
-    base = np.exp(-1j * (ks[1] - ks[0]) * x) if consecutive else None
+    base = np.exp(-1j * sign * x)
     for s in range(0, ks.size, step):
         kk = ks[s : s + step]
-        if consecutive and kk.size > 1:
-            phases = np.empty((kk.size, x.size), dtype=complex)
-            phases[0] = np.exp(-1j * kk[0] * x)
-            phases[1:] = base[None, :]
-            np.cumprod(phases, axis=0, out=phases)
-        else:
-            phases = np.exp(-1j * np.outer(kk, x))
+        phases = np.empty((kk.size, x.size), dtype=complex)
+        phases[0] = np.exp(-1j * kk[0] * x)
+        phases[1:] = base[None, :]
+        np.cumprod(phases, axis=0, out=phases)
         out[s : s + step] = phases @ jumps
     return out
 
@@ -136,14 +117,13 @@ def pl_spectrum(f: PiecewiseLinearFunction, max_freq: int) -> SpectrumCoeffs:
     out[max_freq] = pl_mean(f)
     if max_freq == 0 or f.n_knots < 2:
         return SpectrumCoeffs(max_freq, out)
-    ks = np.arange(1, max_freq + 1)
-    denom = -TWO_PI * ks.astype(float) ** 2
-    pos = _jump_transform(f.knots, f.jumps, ks) / denom
+    denom = -TWO_PI * np.arange(1, max_freq + 1, dtype=float) ** 2
+    pos = _jump_transform(f.knots, f.jumps, 1, max_freq) / denom
     out[max_freq + 1 :] = pos
     if f.is_real:
         out[:max_freq] = np.conj(pos[::-1])
     else:
-        neg = _jump_transform(f.knots, f.jumps, -ks) / denom
+        neg = _jump_transform(f.knots, f.jumps, -1, max_freq) / denom
         out[:max_freq] = neg[::-1]
     return SpectrumCoeffs(max_freq, out)
 

@@ -50,11 +50,6 @@ class PLHomeomorphism:
         object.__setattr__(self, "knots_in", _readonly(kin))
         object.__setattr__(self, "knots_out", _readonly(kout))
 
-    @staticmethod
-    def identity(knot_count: int = 2) -> "PLHomeomorphism":
-        t = np.arange(int(knot_count)) * (TWO_PI / int(knot_count))
-        return PLHomeomorphism(t, t.copy())
-
     @property
     def n_knots(self) -> int:
         return self.knots_in.size

@@ -18,7 +18,9 @@ is algebraically identical to the double loop.
 
 For PL functions ``pl_seminorm`` gives the order-1/2 spectral form exactly.
 
-Also here: moduli of continuity, Lipschitz-class checks, and the empirical
+Also here: moduli of continuity of real PL functions (one exact sweep over
+a whole delta grid, the range-extremum sparse tables of the knot values
+built once per function), Lipschitz-class checks, and the empirical
 equivalence-constant scan between the two seminorm forms.
 """
 
@@ -193,6 +195,8 @@ def sobolev_integral(g: GridFunction) -> float:
 
 
 def _sparse_tables(a: np.ndarray, op):
+    """Level l holds op over the windows a[i : i + 2^l] (the range-minimum
+    sparse table of Bender & Farach-Colton, LATIN 2000)."""
     levels = [a]
     size = a.size
     l = 1
@@ -219,83 +223,55 @@ def _range_query(levels, lo: np.ndarray, hi: np.ndarray):
     return left, right
 
 
-def modulus_of_continuity(f: PiecewiseLinearFunction, delta: float) -> float:
-    """sup |f(t1) - f(t2)| over circle distance |t1 - t2| <= delta.
+def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
+    """sup |f(t1) - f(t2)| over circle distance |t1 - t2| <= delta, for a
+    real PL function f and one delta (a float back) or an array of them.
 
-    For PL functions the supremum is attained with at least one point at a
-    knot, the other at a knot or at distance exactly delta, so the search
-    is exact over that finite candidate set.
+    The supremum is attained with one point at a knot and the other at a
+    knot or at distance exactly delta, so the search over that finite
+    candidate set is exact.  The max and min sparse tables of the knot
+    values over two periods depend only on f and are built once; each delta
+    below pi then costs one range query per knot (the knots within delta
+    after it) and the two edge values f(t +- delta).
     """
-    delta = float(delta)
-    if delta < 0.0 or delta > TWO_PI + 1e-12:
-        raise ValueError("delta must lie in [0, 2*pi]")
-    if delta == 0.0 or f.n_knots == 1:
-        return 0.0
+    if not f.is_real:
+        raise ValueError("moduli of continuity are defined here for real-valued functions only")
+    deltas = np.asarray(delta, dtype=float)
+    if not np.all((deltas >= 0.0) & (deltas <= TWO_PI + 1e-12)):
+        raise ValueError(f"delta must lie in [0, 2*pi], got {delta}")
+    moduli = np.zeros(deltas.size)
     t = f.knots
-    if f.is_real:
-        y = f.values.real
-        if delta >= math.pi:
-            return float(np.max(y) - np.min(y))
-        best = _real_window_max(f, t, y, delta)
-    else:
-        v = f.values
-        if delta >= math.pi:
-            return _max_pairwise(v)
-        best = _complex_window_max(f, t, v, delta)
-    return best
-
-
-def _edge_candidates(f, t, vals, delta):
-    up = np.abs(f(reduce_angle(t + delta)) - vals)
-    down = np.abs(f(reduce_angle(t - delta)) - vals)
-    return max(float(np.max(up)), float(np.max(down)))
-
-
-def _real_window_max(f, t, y, delta):
+    y = f.values.real
     n = t.size
-    t_ext = np.concatenate([t, t + TWO_PI])
-    y_ext = np.concatenate([y, y])
-    hi = np.searchsorted(t_ext, t + delta, side="right") - 1
-    lo = np.arange(n) + 1
-    mask = hi >= lo
-    best = 0.0
-    if mask.any():
+    if n > 1:
+        t_ext = np.concatenate([t, t + TWO_PI])
+        y_ext = np.concatenate([y, y])
         tmax = _sparse_tables(y_ext, np.maximum)
         tmin = _sparse_tables(y_ext, np.minimum)
-        a1, a2 = _range_query(tmax, lo[mask], hi[mask])
-        b1, b2 = _range_query(tmin, lo[mask], hi[mask])
-        wmax = np.maximum(a1, a2)
-        wmin = np.minimum(b1, b2)
-        yi = y[mask]
-        best = float(np.max(np.maximum(wmax - yi, yi - wmin)))
-    return max(best, _edge_candidates(f, t, y, delta))
+        lo = np.arange(n) + 1
+        for i, d in enumerate(deltas.ravel()):
+            if d == 0.0:
+                continue
+            if d >= math.pi:
+                moduli[i] = np.max(y) - np.min(y)
+                continue
+            hi = np.searchsorted(t_ext, t + d, side="right") - 1
+            mask = hi >= lo
+            best = 0.0
+            if mask.any():
+                a1, a2 = _range_query(tmax, lo[mask], hi[mask])
+                b1, b2 = _range_query(tmin, lo[mask], hi[mask])
+                yi = y[mask]
+                best = float(np.max(np.maximum(np.maximum(a1, a2) - yi, yi - np.minimum(b1, b2))))
+            up = np.abs(f(reduce_angle(t + d)) - y)
+            down = np.abs(f(reduce_angle(t - d)) - y)
+            moduli[i] = max(best, float(np.max(up)), float(np.max(down)))
+    return float(moduli[0]) if deltas.ndim == 0 else moduli.reshape(deltas.shape)
 
 
-def _complex_window_max(f, t, v, delta):
-    n = t.size
-    t_ext = np.concatenate([t, t + TWO_PI])
-    v_ext = np.concatenate([v, v])
-    hi = np.searchsorted(t_ext, t + delta, side="right") - 1
-    best = 0.0
-    for i in range(n):
-        if hi[i] >= i + 1:
-            best = max(best, float(np.max(np.abs(v_ext[i + 1 : hi[i] + 1] - v[i]))))
-    return max(best, _edge_candidates(f, t, v, delta))
-
-
-def _max_pairwise(v: np.ndarray) -> float:
-    n = v.size
-    best = 0.0
-    step = max(1, 4_000_000 // max(n, 1))
-    for s in range(0, n, step):
-        block = v[s : s + step, None] - v[None, :]
-        best = max(best, float(np.max(np.abs(block))))
-    return best
-
-
-def default_delta_grid(levels: int = 20) -> np.ndarray:
-    """Geometric grid 2*pi * 2^-m, m = 1..levels."""
-    return TWO_PI * 2.0 ** (-np.arange(1, levels + 1, dtype=float))
+def default_delta_grid() -> np.ndarray:
+    """Geometric grid 2*pi * 2^-m, m = 1..20."""
+    return TWO_PI * 2.0 ** (-np.arange(1, 21, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,12 +290,10 @@ def lip_check(f: PiecewiseLinearFunction, omega: ModulusSpec, delta_grid=None) -
     Membership in the omega-Lipschitz class is asserted by the caller
     comparing ``max_ratio`` against its constant.
     """
-    if delta_grid is None:
-        delta_grid = default_delta_grid()
-    deltas = np.asarray(delta_grid, dtype=float)
-    if deltas.size == 0 or np.any(deltas <= 0.0) or np.any(deltas > TWO_PI + 1e-12):
-        raise ValueError("delta grid must be nonempty with entries in (0, 2*pi]")
-    moduli = np.array([modulus_of_continuity(f, d) for d in deltas])
+    deltas = np.asarray(default_delta_grid() if delta_grid is None else delta_grid, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0 or not np.all((deltas > 0.0) & (deltas <= TWO_PI + 1e-12)):
+        raise ValueError("delta grid must be a nonempty 1-d array with entries in (0, 2*pi]")
+    moduli = modulus_of_continuity(f, deltas)
     denom = np.array([omega(d) for d in deltas], dtype=float)
     ratios = np.where(denom > 0.0, moduli / np.where(denom > 0.0, denom, 1.0), np.where(moduli > 0.0, np.inf, 0.0))
     return LipReport(

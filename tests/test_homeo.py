@@ -24,9 +24,9 @@ from circlelab.experiments import _random_pl
 
 def test_equal_increments_give_identity():
     h = from_increments(np.zeros(8))
-    ident = PLHomeomorphism.identity(8)
-    assert np.max(np.abs(h.knots_in - ident.knots_in)) < 1e-12
-    assert np.max(np.abs(h.knots_out - ident.knots_out)) < 1e-12
+    knots = np.arange(8) * (TWO_PI / 8)
+    assert np.max(np.abs(h.knots_in - knots)) < 1e-12
+    assert np.max(np.abs(h.knots_out - knots)) < 1e-12
     t = np.linspace(0.0, TWO_PI, 100, endpoint=False)
     assert np.max(np.abs(h.apply(t) - t)) < 1e-12
 
@@ -64,7 +64,8 @@ def test_apply_exact_at_knots():
 
 def test_identity_superpose_returns_function():
     tri = triangle(CircleInterval(1.0, 2.0))
-    fh = superpose(tri, PLHomeomorphism.identity(4))
+    knots = np.arange(4) * (TWO_PI / 4)
+    fh = superpose(tri, PLHomeomorphism(knots, knots))
     t = np.linspace(0.0, TWO_PI, 300, endpoint=False)
     assert np.max(np.abs(fh(t) - tri(t))) < 1e-12
 

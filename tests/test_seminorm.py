@@ -10,12 +10,15 @@ from circlelab import (
     ModulusSpec,
     PiecewiseLinearFunction,
     SpectrumCoeffs,
+    build_delta_sequence,
+    build_u,
     default_delta_grid,
     equivalence_scan,
     harmonic,
     harmonic_shift_weight,
     lip_check,
     modulus_of_continuity,
+    place_intervals,
     pl_seminorm,
     pl_spectrum,
     sample,
@@ -24,6 +27,7 @@ from circlelab import (
     synthesize,
     triangle,
 )
+from circlelab import seminorm
 from circlelab.experiments import _random_pl
 
 
@@ -178,16 +182,63 @@ def test_modulus_sees_wrap_distance():
     assert modulus_of_continuity(f, 0.5) == 2.0
 
 
-def test_modulus_complex_path_matches_real():
-    rng = np.random.default_rng(8)
-    knots = np.sort(rng.uniform(0, TWO_PI, 20))
-    vals = rng.normal(size=20)
-    from circlelab import PiecewiseLinearFunction
+def _brute_force_modulus(f, delta):
+    """O(M^2) enumeration: knot pairs within circular distance delta, and
+    each knot against the points at distance exactly delta."""
+    t, y = f.knots, f.values.real
+    best = 0.0
+    for i in range(t.size):
+        for j in range(t.size):
+            gap = abs(t[i] - t[j])
+            if min(gap, TWO_PI - gap) <= delta:
+                best = max(best, abs(y[i] - y[j]))
+        for s in (t[i] + delta, t[i] - delta):
+            best = max(best, abs(f(s).real - y[i]))
+    return best
 
-    f_real = PiecewiseLinearFunction(knots, vals.astype(complex))
-    f_cplx = PiecewiseLinearFunction(knots, (vals + 0j) + 1e-300j)  # forces complex path
-    for d in (0.3, 1.0, 2.5):
-        assert abs(modulus_of_continuity(f_real, d) - modulus_of_continuity(f_cplx, d)) < 1e-12
+
+def test_modulus_matches_brute_force_enumeration():
+    rng = np.random.default_rng(8)
+    functions = [_random_pl(rng, 24) for _ in range(11)]
+    # support straddling the wrap point: zero on [0.6, 5.6]
+    knots = np.array([0.0, 0.3, 0.6, 2.0, 4.0, 5.6, 5.9, 6.2])
+    values = np.concatenate([rng.uniform(-1.0, 1.0, 2), np.zeros(4), rng.uniform(-1.0, 1.0, 2)])
+    functions.append(PiecewiseLinearFunction(knots, values.astype(complex)))
+    deltas = np.array([1e-4, 0.3, 1.0, 2.5, math.pi - 1e-9, math.pi, TWO_PI])
+    for f in functions:
+        expected = np.array([_brute_force_modulus(f, d) for d in deltas])
+        assert np.array_equal(modulus_of_continuity(f, deltas), expected)
+        for d, e in zip(deltas, expected):
+            got = modulus_of_continuity(f, float(d))
+            assert isinstance(got, float) and got == e
+
+
+def test_modulus_rejects_complex_functions_and_bad_deltas():
+    f = _random_pl(np.random.default_rng(9), 24, complex_values=True)
+    with pytest.raises(ValueError, match="real-valued"):
+        modulus_of_continuity(f, 0.5)
+    tri = triangle(CircleInterval(1.0, 2.0))
+    for bad in (math.nan, -0.1, 7.0, [0.5, math.nan]):
+        with pytest.raises(ValueError, match="delta"):
+            modulus_of_continuity(tri, bad)
+    for bad in ([0.5, math.nan], [0.0, 0.5], [], [[0.5]]):
+        with pytest.raises(ValueError, match="delta"):
+            lip_check(tri, ModulusSpec.power(0.5), bad)
+
+
+def test_lip_check_builds_each_sparse_table_once(monkeypatch):
+    built = []
+
+    def counting(a, op):
+        built.append(op)
+        return build(a, op)
+
+    build = seminorm._sparse_tables
+    monkeypatch.setattr(seminorm, "_sparse_tables", counting)
+    omega = ModulusSpec.power(1.0 / 3.0)
+    seq = build_delta_sequence(omega, 4)
+    lip_check(build_u(place_intervals(seq, seq.deltas.size)), omega)
+    assert built == [np.maximum, np.minimum]
 
 
 def test_lip_check_constant_is_zero():
