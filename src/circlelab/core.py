@@ -161,6 +161,17 @@ class PiecewiseLinearFunction:
         out = v_ext[idx] + lam * (v_ext[idx + 1] - v_ext[idx])
         return out[0] if scalar else out
 
+    def real_at(self, t: np.ndarray) -> np.ndarray:
+        """Re f at an array of angles t in [0, 2*pi), by one ``np.interp``
+        over the extended knots; angles below the first knot move up by 2*pi
+        onto the wrap segment.  Nothing is reduced (``__call__`` reduces), so
+        an angle outside [0, 2*pi) raises ``ValueError``."""
+        t = np.asarray(t, dtype=float)
+        if t.size and not (t.min() >= 0.0 and t.max() < TWO_PI):
+            raise ValueError("angles must lie in [0, 2*pi)")
+        pos = np.where(t < self.knots[0], t + TWO_PI, t)
+        return np.interp(pos, self.ext_knots, self.ext_values.real)
+
     def to_dict(self) -> dict:
         return {
             "knots": self.knots.tolist(),

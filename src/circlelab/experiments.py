@@ -602,11 +602,6 @@ class _ProductObjective:
         self.best_raw = None
         self.best_products = None
 
-    def _sample(self, f: PiecewiseLinearFunction) -> np.ndarray:
-        te = f.ext_knots
-        pos = np.where(self.t_grid < te[0], self.t_grid + TWO_PI, self.t_grid)
-        return np.interp(pos, te, f.ext_values.real)
-
     def _seminorm(self, samples: np.ndarray) -> float:
         big = np.fft.rfft(samples, out=self._spectrum)[1 : self.max_freq + 1]
         big /= self.grid_n
@@ -619,8 +614,8 @@ class _ProductObjective:
         h = from_increments(raw)
         vh = superpose(self.v, h)
         uh = superpose(self.u, h)
-        nv = self._seminorm(self._sample(vh))
-        uh_samples = self._sample(uh)
+        nv = self._seminorm(vh.real_at(self.t_grid))
+        uh_samples = uh.real_at(self.t_grid)
         products = np.empty(len(self.n_grid))
         for i, n in enumerate(self.n_grid):
             products[i] = nv * self._seminorm(np.maximum(uh_samples, 1.0 / n, out=self._row))
@@ -658,12 +653,17 @@ def run_obstruction(
     identical records.
     """
     grid_n, max_freq, restarts = int(grid_n), int(max_freq), int(restarts)
+    knots, budget = int(knots), int(budget)
+    if knots < 2:
+        raise ValueError(f"knots must be at least 2, got {knots}")
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     if not 1 <= max_freq <= grid_n // 2:
         raise ValueError(f"max_freq must be in 1..grid_n // 2 = {grid_n // 2}, got {max_freq}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if budget < restarts:
+        raise ValueError(f"budget must be at least restarts = {restarts}, got {budget}")
     records = []
     for blocks in block_counts:
         seq = build_delta_sequence(omega, int(blocks), strict=strict)
@@ -676,11 +676,11 @@ def run_obstruction(
         lower_bounds = [abs(r.value.real) / TWO_PI for r in reports]
         certified = [r.lower_bound / TWO_PI for r in reports]
         engine = _ProductObjective(u, v, n_grid, lower_bounds, grid_n, max_freq, audit_tol)
-        _, identity_products = engine.evaluate(np.zeros(int(knots)))
-        per_restart = max(1, int(budget) // restarts)
+        _, identity_products = engine.evaluate(np.zeros(knots))
+        per_restart = budget // restarts
         for r in range(restarts):
             rng = np.random.default_rng([int(seed), int(blocks), r])
-            x0 = rng.uniform(-roughness, roughness, int(knots))
+            x0 = rng.uniform(-roughness, roughness, knots)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 minimize(
@@ -710,7 +710,7 @@ def run_obstruction(
                 best_objective=float(engine.best_objective),
                 evals=int(engine.evals),
                 violations=int(engine.violations),
-                budget_exhausted=bool(engine.evals >= int(budget)),
+                budget_exhausted=bool(engine.evals >= budget),
             )
         )
     return records

@@ -56,13 +56,12 @@ class PLHomeomorphism:
 
     def apply(self, t):
         scalar = np.isscalar(t) or np.ndim(t) == 0
-        tt = np.atleast_1d(reduce_angle(t))
-        t_ext = np.concatenate([self.knots_in, [TWO_PI]])
-        s_ext = np.concatenate([self.knots_out, [TWO_PI]])
-        idx = np.searchsorted(t_ext, tt, side="right") - 1
-        idx = np.clip(idx, 0, t_ext.size - 2)
-        lam = (tt - t_ext[idx]) / (t_ext[idx + 1] - t_ext[idx])
-        out = s_ext[idx] + lam * (s_ext[idx + 1] - s_ext[idx])
+        # the lift on [0, 2*pi]: both knot lists closed by h(2*pi) = 2*pi
+        out = np.interp(
+            np.atleast_1d(reduce_angle(t)),
+            np.append(self.knots_in, TWO_PI),
+            np.append(self.knots_out, TWO_PI),
+        )
         return float(out[0]) if scalar else out
 
     __call__ = apply
@@ -103,8 +102,7 @@ def superpose(f: PiecewiseLinearFunction, h: PLHomeomorphism) -> PiecewiseLinear
     over exactly -- f's knot values at the preimages, f evaluated at h's
     exact output knots elsewhere.
     """
-    z = np.atleast_1d(h.invert().apply(f.knots))
-    positions = np.concatenate([z, h.knots_in])
+    positions = np.concatenate([h.invert().apply(f.knots), h.knots_in])
     values = np.concatenate([f.values, f(h.knots_out)])
     order = np.argsort(positions, kind="stable")
     positions = positions[order]

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import zeta
 
 from .core import TWO_PI, GridFunction, PiecewiseLinearFunction, _readonly, reduce_angle
 from .fourier import SpectrumCoeffs
@@ -141,8 +139,19 @@ def sobolev_spectral(c: SpectrumCoeffs, s: float) -> float:
 # C3(t) = sum_{k>=1} cos(kt)/k^3 on [0, pi], with u = (t/2pi)^2 <= 1/4:
 #     C3(t) - zeta(3) = t^2 (ln(t)/2 - 3/4 - sum_n c_n u^n),
 #     c_n = zeta(2n) / (n (2n+1) (2n+2)); terms past n = 24 are below 1e-19.
+# zeta(2), ..., zeta(48) as float64: the values scipy.special.zeta returns,
+# which are the closed form |B_2n| (2pi)^2n / (2 (2n)!) of DLMF 25.6.2
+# rounded to nearest (tests/test_seminorm.py checks both).
+_ZETA_EVEN = np.array([
+    1.6449340668482264, 1.0823232337111381, 1.0173430619844492, 1.0040773561979444,
+    1.000994575127818, 1.000246086553308, 1.0000612481350588, 1.0000152822594086,
+    1.000003817293265, 1.0000009539620338, 1.0000002384505027, 1.000000059608189,
+    1.0000000149015549, 1.000000003725334, 1.0000000009313275, 1.000000000232831,
+    1.0000000000582077, 1.000000000014552, 1.000000000003638, 1.0000000000009095,
+    1.0000000000002274, 1.0000000000000568, 1.0000000000000142, 1.0000000000000036,
+])
 _C3_N = np.arange(1, 25)
-_C3_COEFFS = zeta(2.0 * _C3_N) / (_C3_N * (2 * _C3_N + 1) * (2 * _C3_N + 2))
+_C3_COEFFS = _ZETA_EVEN / (_C3_N * (2 * _C3_N + 1) * (2 * _C3_N + 2))
 
 
 def _clausen3_offset(t: np.ndarray) -> np.ndarray:
@@ -330,6 +339,8 @@ def harmonic_shift_weight(k: int) -> float:
     Independent scalar oracle for the difference-quotient seminorm of pure
     harmonics: |||e^{ikt}|||^2 = 2*pi*w(k).
     """
+    from scipy.integrate import quad
+
     k = int(k)
     if k == 0:
         return 0.0

@@ -128,25 +128,24 @@ def pairing_report(
         v = build_v(sys)
     un = truncate_un(u, n)
     t = np.unique(np.concatenate([v.knots, un.knots, sys.a, sys.center]))
-    merged_v = PiecewiseLinearFunction(t, v(t))
-    va = merged_v.ext_values.real
-    ua = PiecewiseLinearFunction(t, un(t)).ext_values.real
-    dy = np.diff(ua)
-    pieces = 0.5 * (va[:-1] + va[1:]) * dy
+    # piece i runs from t[i] to t[i + 1], the last one to the wrap knot t[0] + 2pi
+    va = v.real_at(t)
+    ua = un.real_at(t)
+    pieces = 0.5 * (va + np.roll(va, -1)) * (np.roll(ua, -1) - ua)
     value = float(np.sum(pieces))
 
-    per = np.zeros(sys.count)
     if sys.count:
-        t_ext = merged_v.ext_knots
+        t_ext = np.append(t, t[0] + TWO_PI)
         mids = 0.5 * (t_ext[:-1] + t_ext[1:])
         idx = np.searchsorted(sys.a, mids, side="right") - 1
         inside = (idx >= 0) & (idx < sys.count)
         sel = np.where(inside, idx, 0)
         inside &= mids <= sys.center[sel]
-        np.add.at(per, idx[inside], pieces[inside])
+        per = np.bincount(idx[inside], weights=pieces[inside], minlength=sys.count)
         active = sys.weight >= 3.0 / n
         lb_terms = np.where(active, (2.0 / 9.0) * sys.weight**2, 0.0)
     else:
+        per = np.zeros(0)
         active = np.zeros(0, dtype=bool)
         lb_terms = np.zeros(0)
     return StieltjesReport(

@@ -85,6 +85,12 @@ def test_obstruct_writes_files(tmp_path, capsys):
     assert "violations=0" in text
 
 
+def test_obstruct_rejects_a_budget_below_the_restarts(tmp_path):
+    with pytest.raises(ValueError, match="budget"):
+        main(["obstruct", "--blocks", "1", "--budget", "0", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -215,7 +215,26 @@ def test_segment_views():
     assert np.allclose(f.slopes, [2.0, -2.0, wrap], rtol=1e-15, atol=0.0)
     assert np.allclose(f.jumps, [2.0 - wrap, -4.0, wrap + 2.0], rtol=1e-15, atol=0.0)
     assert abs(np.sum(f.jumps)) < 1e-15
+    t = np.array([0.0, 0.25, 0.5, 1.0, 4.0, 5.0, TWO_PI - 1e-9])  # both sides of the wrap
+    assert np.allclose(f.real_at(t), f(t).real, rtol=0.0, atol=1e-15)
+    for bad in (-1e-12, TWO_PI, np.nan):
+        with pytest.raises(ValueError, match="angles"):
+            f.real_at(np.array([0.5, bad]))
     assert np.shares_memory(f.knots, f.ext_knots) and f.jumps is f.jumps
     for view in (f.knots, f.ext_values, f.jumps):
         with pytest.raises(ValueError):
             view[0] = 0.0
+
+
+def test_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import circlelab
+
+    src = os.path.dirname(os.path.dirname(circlelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, circlelab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

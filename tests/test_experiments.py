@@ -16,6 +16,7 @@ from circlelab import (
     superpose,
     truncate_un,
 )
+from circlelab import experiments
 from circlelab.experiments import (
     ObstructionRecord,
     _ProductObjective,
@@ -165,11 +166,16 @@ def test_exploratory_sqrt_modulus_runs():
         ({"grid_n": 1 << 10, "max_freq": (1 << 9) + 1}, "max_freq"),
         ({"grid_n": 0}, "grid_n"),
         ({"restarts": 0}, "restarts"),
+        ({"knots": 1}, "knots"),
+        ({"budget": 3}, "budget"),
+        ({"budget": 0}, "budget"),
     ],
 )
-def test_run_obstruction_rejects_bad_inputs(kwargs, name):
+def test_run_obstruction_rejects_bad_inputs(kwargs, name, monkeypatch):
+    # every check fires before the tent system is built
+    monkeypatch.setattr(experiments, "build_delta_sequence", None)
     with pytest.raises(ValueError, match=name):
-        run_obstruction(OMEGA, [1], knots=4, budget=4, **kwargs)
+        run_obstruction(OMEGA, [1], **{"knots": 4, "budget": 4, **kwargs})
 
 
 def _objective(blocks, grid_n=1 << 16, max_freq=1 << 14):

@@ -117,3 +117,26 @@ def test_from_increments_always_valid(raw):
     t = np.linspace(0.0, TWO_PI, 21, endpoint=False)
     s = h.apply(t)
     assert np.all(np.diff(s) > 0.0)  # strictly increasing on [0, 2*pi)
+
+
+def test_superpose_at_the_clip_keeps_knots_increasing():
+    # raw increments at +-12 give output spans e^24 apart
+    seq = build_delta_sequence(ModulusSpec.power(1.0 / 3.0), 3)
+    sys_ = place_intervals(seq, seq.deltas.size)
+    u = build_u(sys_)
+    signs = np.where(np.random.default_rng(3).random(32) < 0.5, 1.0, -1.0)
+    for raw in (np.tile([12.0, -12.0], 16), 12.0 * signs):
+        h = from_increments(raw)
+        g = superpose(u, h)
+        assert np.all(np.diff(g.knots) > 0.0)
+        # preimages of u's knots by the segment-search lift formula
+        s_ext, t_ext = np.append(h.knots_out, TWO_PI), np.append(h.knots_in, TWO_PI)
+        idx = np.clip(np.searchsorted(s_ext, u.knots, side="right") - 1, 0, s_ext.size - 2)
+        lam = (u.knots - s_ext[idx]) / (s_ext[idx + 1] - s_ext[idx])
+        positions = np.concatenate([t_ext[idx] + lam * (t_ext[idx + 1] - t_ext[idx]), h.knots_in])
+        order = np.argsort(positions, kind="stable")
+        positions, values = positions[order], np.concatenate([u.values, u(h.knots_out)])[order]
+        keep = np.concatenate([[True], np.diff(positions) > 0.0])
+        assert g.n_knots == np.count_nonzero(keep)
+        assert np.all(np.abs(g.knots - positions[keep]) <= 4 * np.spacing(positions[keep]))
+        assert np.array_equal(g.values, values[keep])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -333,3 +334,24 @@ def test_table_modulus_validation():
         # omega(x) = x^2 on a grid is not subadditive
         xs = np.linspace(0.0, 1.0, 11)
         ModulusSpec.table(xs, xs**2)
+
+
+def _even_bernoulli(count):
+    """|B_2|, |B_4|, ..., |B_2count| exactly, by the recurrence
+    sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return [abs(b[2 * n]) for n in range(1, count + 1)]
+
+
+def test_zeta_table_matches_scipy_and_the_bernoulli_closed_form():
+    from scipy.special import zeta
+
+    n = np.arange(1, seminorm._ZETA_EVEN.size + 1)
+    assert seminorm._ZETA_EVEN.size == 24
+    assert np.array_equal(seminorm._ZETA_EVEN, zeta(2.0 * n))
+    pi = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+    for k, bern in zip(n.tolist(), _even_bernoulli(n.size)):
+        exact = bern * (2 * pi) ** (2 * k) / (2 * math.factorial(2 * k))
+        assert seminorm._ZETA_EVEN[k - 1] == pytest.approx(float(exact), rel=1e-14, abs=0.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from circlelab import (
     place_intervals,
     rs_integral,
     triangle,
+    truncate_un,
 )
 from circlelab.experiments import _random_pl
 
@@ -190,3 +193,20 @@ def test_rs_integral_rejects_complex_integrator():
     y = PiecewiseLinearFunction(np.array([0.0, 1.0]), np.array([0.0, 1j]))
     with pytest.raises(ValueError):
         rs_integral(x, y)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+def test_pairing_value_matches_rs_integral(blocks):
+    seq = build_delta_sequence(ModulusSpec.power(1.0 / 3.0), blocks)
+    sys_ = place_intervals(seq, seq.deltas.size)
+    u, v = build_u(sys_), build_v(sys_)
+    # a caller-supplied v whose first knot lies above 0, nonzero on the wrap
+    rng = np.random.default_rng(blocks)
+    knots = np.sort(rng.uniform(0.3, TWO_PI - 0.3, 40))
+    shifted_v = PiecewiseLinearFunction(knots, rng.uniform(0.5, 1.5, 40))
+    assert shifted_v.knots[0] > 0.0
+    for n in sorted({math.ceil(3.0 / w) for w in sys_.weight.tolist()}):
+        un = truncate_un(u, n)
+        for vv in (v, shifted_v):
+            rep = pairing_report(sys_, n, u=u, v=vv)
+            assert abs(rep.value - rs_integral(vv, un)) <= 1e-13
