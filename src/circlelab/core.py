@@ -167,10 +167,15 @@ class PiecewiseLinearFunction:
         onto the wrap segment.  Nothing is reduced (``__call__`` reduces), so
         an angle outside [0, 2*pi) raises ``ValueError``."""
         t = np.asarray(t, dtype=float)
-        if t.size and not (t.min() >= 0.0 and t.max() < TWO_PI):
-            raise ValueError("angles must lie in [0, 2*pi)")
-        pos = np.where(t < self.knots[0], t + TWO_PI, t)
-        return np.interp(pos, self.ext_knots, self.ext_values.real)
+        if t.size:
+            lowest = t.min()
+            if not (lowest >= 0.0 and t.max() < TWO_PI):
+                raise ValueError("angles must lie in [0, 2*pi)")
+            # the shifted copy is needed only when some angle lies below the
+            # first knot; a function with a knot at 0 never needs it
+            if lowest < self.knots[0]:
+                t = np.where(t < self.knots[0], t + TWO_PI, t)
+        return np.interp(t, self.ext_knots, self.ext_values.real)
 
     def to_dict(self) -> dict:
         return {

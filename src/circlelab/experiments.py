@@ -14,6 +14,11 @@ restarts) to minimize
 
     max_n  ||v o h|| * ||u_n o h||        (spectral seminorms, s = 1/2).
 
+Each candidate's seminorms come from one grid sampling of v o h and of
+u o h, with the levels n applied as a pointwise max on the samples, and
+real FFTs that transform a batch of rows per call into buffers allocated
+once per block count.
+
 Every candidate ever evaluated is audited against the precomputed lower
 bounds: the dual-norm inequality guarantees no h can beat them, so the
 experiment's output is the observed gap, not convergence.  The searched
@@ -570,17 +575,27 @@ class ObstructionRecord:
         return ObstructionRecord(**d)
 
 
+# Rows per rfft call: one call per batch of rows replaces one call per row.
+# 4 rows keep the block and spectra buffers at 2 MB each at N = 2^16;
+# transforming every row at once (8 at J = 7) was only slightly faster and
+# raised peak RSS by about 9%.
+BATCH_ROWS = 4
+
+
 class _ProductObjective:
     """max_n ||v o h|| * ||u_n o h|| with built-in lower-bound auditing.
 
     Each evaluation samples v o h and u o h once on the N-point grid.
     Sampling commutes with the pointwise max, so max(samples of u o h, 1/n)
     are the samples of u_n o h = ``truncate_un(u o h, n)`` and no truncated
-    PL function is built.  Spectral seminorms come from real FFTs of the
-    samples, truncated at ``max_freq``, into buffers allocated once; the
-    levels run one at a time, so one N-sample row is live, not one per
-    level.  The per-n lower bounds are exact constants precomputed from the
-    pairing, so auditing every evaluation is free.
+    PL function is built.  Row 0 holds v o h and row i the level 1/n_i;
+    the rows go through ``BATCH_ROWS`` at a time: written into one block,
+    transformed by one real FFT into a spectra block (both allocated once),
+    then squared in place up to ``max_freq`` and reduced by one
+    matrix-vector product with the weights 2k/N^2, which gives the squared
+    spectral seminorms truncated at ``max_freq``.  The per-n lower bounds
+    are exact constants precomputed from the pairing, so auditing every
+    evaluation is free.
     """
 
     def __init__(self, u, v, n_grid, bounds, grid_n, max_freq, audit_tol):
@@ -592,33 +607,39 @@ class _ProductObjective:
         self.max_freq = int(max_freq)
         self.audit_tol = float(audit_tol)
         self.t_grid = np.arange(self.grid_n) * (TWO_PI / self.grid_n)
-        self.k_weights = np.arange(1, self.max_freq + 1, dtype=float)
-        self._row = np.empty(self.grid_n)
-        self._spectrum = np.empty(self.grid_n // 2 + 1, dtype=complex)
-        self._power = np.empty(self.max_freq)
+        # the floor under each row: none for v o h, 1/n for each level
+        self._floors = np.array([-math.inf] + [1.0 / n for n in self.n_grid])
+        batch = min(BATCH_ROWS, len(self._floors))
+        self._block = np.empty((batch, self.grid_n))
+        self._spectra = np.empty((batch, self.grid_n // 2 + 1), dtype=complex)
+        # weights on the interleaved (re, im) float view of frequencies 0..max_freq
+        k = np.arange(self.max_freq + 1, dtype=float)
+        self._weights = np.repeat(2.0 * k / float(self.grid_n) ** 2, 2)
         self.evals = 0
         self.violations = 0
         self.best_objective = math.inf
         self.best_raw = None
         self.best_products = None
 
-    def _seminorm(self, samples: np.ndarray) -> float:
-        big = np.fft.rfft(samples, out=self._spectrum)[1 : self.max_freq + 1]
-        big /= self.grid_n
-        power = np.abs(big, out=self._power)
-        np.square(power, out=power)
-        power *= self.k_weights
-        return math.sqrt(2.0 * float(np.sum(power)))
-
     def evaluate(self, raw) -> tuple[float, np.ndarray]:
         h = from_increments(raw)
         vh = superpose(self.v, h)
         uh = superpose(self.u, h)
-        nv = self._seminorm(vh.real_at(self.t_grid))
+        vh_samples = vh.real_at(self.t_grid)
         uh_samples = uh.real_at(self.t_grid)
-        products = np.empty(len(self.n_grid))
-        for i, n in enumerate(self.n_grid):
-            products[i] = nv * self._seminorm(np.maximum(uh_samples, 1.0 / n, out=self._row))
+        rows = len(self._floors)
+        squares = np.empty(rows)
+        for start in range(0, rows, BATCH_ROWS):
+            stop = min(start + BATCH_ROWS, rows)
+            block = self._block[: stop - start]
+            for row, i in zip(block, range(start, stop)):
+                np.maximum(uh_samples if i else vh_samples, self._floors[i], out=row)
+            spectra = np.fft.rfft(block, axis=1, out=self._spectra[: stop - start])
+            power = spectra.view(float)[:, : self._weights.size]
+            np.square(power, out=power)
+            np.matmul(power, self._weights, out=squares[start:stop])
+        norms = np.sqrt(squares)
+        products = norms[0] * norms[1:]
         self.evals += 1
         if np.any(products * (1.0 + self.audit_tol) < self.bounds):
             self.violations += 1
@@ -654,6 +675,7 @@ def run_obstruction(
     """
     grid_n, max_freq, restarts = int(grid_n), int(max_freq), int(restarts)
     knots, budget = int(knots), int(budget)
+    roughness, audit_tol = float(roughness), float(audit_tol)
     if knots < 2:
         raise ValueError(f"knots must be at least 2, got {knots}")
     if grid_n < 2:
@@ -664,6 +686,9 @@ def run_obstruction(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if budget < restarts:
         raise ValueError(f"budget must be at least restarts = {restarts}, got {budget}")
+    for name, value in (("audit_tol", audit_tol), ("roughness", roughness)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     records = []
     for blocks in block_counts:
         seq = build_delta_sequence(omega, int(blocks), strict=strict)
@@ -713,6 +738,8 @@ def run_obstruction(
                 budget_exhausted=bool(engine.evals >= budget),
             )
         )
+        # two engines' buffers are never live at once
+        del engine
     return records
 
 

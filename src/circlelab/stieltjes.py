@@ -63,7 +63,8 @@ def fourier_pairing(y: PiecewiseLinearFunction, k) -> complex | np.ndarray:
         slopes = np.diff(y.ext_values.real) / np.diff(t_ext)
         nz = ks != 0
         kk = ks[nz][:, None]
-        seg = np.exp(1j * kk * t_ext[None, 1:]) - np.exp(1j * kk * t_ext[None, :-1])
+        # one exponential per knot, differenced along the knot axis
+        seg = np.diff(np.exp(1j * kk * t_ext[None, :]), axis=1)
         out[nz] = (seg @ slopes) / (1j * ks[nz]) / TWO_PI
     return complex(out[0]) if scalar else out
 

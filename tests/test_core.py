@@ -226,6 +226,18 @@ def test_segment_views():
             view[0] = 0.0
 
 
+@pytest.mark.parametrize("first_knot", [0.0, 0.5])
+def test_real_at_matches_the_wrap_shift_formula_bit_for_bit(first_knot):
+    # first knot at 0: no angle lies below it; at 0.5: the grid's first angles do
+    rng = np.random.default_rng(23)
+    knots = np.concatenate([[first_knot], np.sort(rng.uniform(first_knot + 0.01, TWO_PI, 40))])
+    f = PiecewiseLinearFunction(knots, rng.normal(size=knots.size).astype(complex))
+    t = np.arange(4096) * (TWO_PI / 4096)
+    pos = np.where(t < f.knots[0], t + TWO_PI, t)
+    expected = np.interp(pos, f.ext_knots, f.ext_values.real)
+    np.testing.assert_array_equal(f.real_at(t), expected)
+
+
 def test_import_loads_no_scipy():
     import os
     import subprocess

@@ -169,6 +169,12 @@ def test_exploratory_sqrt_modulus_runs():
         ({"knots": 1}, "knots"),
         ({"budget": 3}, "budget"),
         ({"budget": 0}, "budget"),
+        ({"audit_tol": math.nan}, "audit_tol"),
+        ({"audit_tol": math.inf}, "audit_tol"),
+        ({"audit_tol": -3.0}, "audit_tol"),
+        ({"roughness": math.nan}, "roughness"),
+        ({"roughness": math.inf}, "roughness"),
+        ({"roughness": -1.0}, "roughness"),
     ],
 )
 def test_run_obstruction_rejects_bad_inputs(kwargs, name, monkeypatch):
@@ -192,7 +198,8 @@ def _reference_seminorm(f, grid_n, max_freq):
     return math.sqrt(2.0 * float(np.sum(np.abs(big[1 : max_freq + 1]) ** 2 * k)))
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+# J = 6 has 7 rows (v and 6 levels): one full batch of rows and a remainder
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5, 6])
 def test_objective_matches_truncated_pl_path(blocks):
     engine = _objective(blocks)
     n, m = engine.grid_n, engine.max_freq

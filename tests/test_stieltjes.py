@@ -72,6 +72,20 @@ def test_parts_identity_against_closed_form():
         assert np.max(np.abs(pair - ident)) < 1e-10
 
 
+def test_pairing_matches_the_two_exponential_formula_bit_for_bit():
+    # the per-segment form exp(ik t_{j+1}) - exp(ik t_j), one exponential per endpoint
+    rng = np.random.default_rng(17)
+    ks = np.concatenate([np.arange(-64, 0), np.arange(1, 65)]).astype(float)
+    for _ in range(20):
+        y = _random_pl(rng, 64)
+        t_ext = y.ext_knots
+        slopes = np.diff(y.ext_values.real) / np.diff(t_ext)
+        kk = ks[:, None]
+        seg = np.exp(1j * kk * t_ext[None, 1:]) - np.exp(1j * kk * t_ext[None, :-1])
+        expected = (seg @ slopes) / (1j * ks) / TWO_PI
+        np.testing.assert_array_equal(fourier_pairing(y, ks), expected)
+
+
 def test_pairing_zero_frequency():
     rng = np.random.default_rng(3)
     y = _random_pl(rng, 16)
