@@ -190,9 +190,13 @@ class TriangleSystem:
     weight: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "b", "center", "delta", "weight"):
+        for name in ("a", "delta", "weight", "b", "center"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
             object.__setattr__(self, name, _readonly(arr))
+            if arr.size != self.a.size:
+                raise ValueError(f"{name} has {arr.size} entries, a has {self.a.size}")
         if self.a.size:
             if self.a[0] <= 0.0 or self.b[-1] >= TWO_PI:
                 raise ValueError("intervals must lie strictly inside (0, 2*pi)")
@@ -204,6 +208,12 @@ class TriangleSystem:
     @property
     def count(self) -> int:
         return self.a.size
+
+    @property
+    def n_grid(self) -> list:
+        """Distinct truncation levels ceil(3/w_k), ascending: the smallest n
+        at which each tent is active (w_k >= 3/n)."""
+        return sorted({math.ceil(3.0 / w) for w in self.weight.tolist()})
 
     @property
     def mid_lo(self) -> np.ndarray:
@@ -265,9 +275,9 @@ def place_intervals(seq: DeltaSequence, count: int) -> TriangleSystem:
 def _tent_sum(lefts, peaks, rights, weights) -> PiecewiseLinearFunction:
     k = lefts.size
     if k == 0:
-        return PiecewiseLinearFunction(np.array([0.0]), np.array([0.0 + 0.0j]))
+        return PiecewiseLinearFunction(np.array([0.0]), np.array([0.0]))
     knots = np.empty(3 * k + 1)
-    values = np.zeros(3 * k + 1, dtype=complex)
+    values = np.zeros(3 * k + 1)
     knots[0] = 0.0
     knots[1::3] = lefts
     knots[2::3] = peaks
@@ -307,9 +317,9 @@ def truncate_un(u: PiecewiseLinearFunction, n: int) -> PiecewiseLinearFunction:
         raise ValueError("truncation applies to real-valued functions")
     c = 1.0 / n
     t = u.knots
-    y = u.values.real
+    y = u.values
     t_next = u.ext_knots[1:]
-    y_next = u.ext_values.real[1:]
+    y_next = u.ext_values[1:]
     crossing = (y - c) * (y_next - c) < 0.0
     tc = t[crossing] + (c - y[crossing]) / (y_next[crossing] - y[crossing]) * (
         t_next[crossing] - t[crossing]
@@ -321,4 +331,4 @@ def truncate_un(u: PiecewiseLinearFunction, n: int) -> PiecewiseLinearFunction:
     knots = knots[order]
     values = values[order]
     keep = np.concatenate([[True], np.diff(knots) > 0.0])
-    return PiecewiseLinearFunction(knots[keep], values[keep].astype(complex))
+    return PiecewiseLinearFunction(knots[keep], values[keep])

@@ -4,8 +4,8 @@ Two concrete carriers are used everywhere in this package:
 
 * :class:`PiecewiseLinearFunction` -- an exact finite-knot representation
   of a continuous periodic function (strictly increasing knot angles in
-  [0, 2*pi), complex values, linear interpolation between knots, and a
-  wrap segment from the last knot back to the first).  Every PL function
+  [0, 2*pi), real or complex values, linear interpolation between knots,
+  and a wrap segment from the last knot back to the first).  Every PL function
   in the package is of this kind.  The class is the only code that knows
   the wrap-segment layout; everything else reads it through the read-only
   segment views ``ext_knots`` and ``ext_values`` (knots and values closed
@@ -13,11 +13,12 @@ Two concrete carriers are used everywhere in this package:
 * :class:`GridFunction` -- uniform power-of-two sample grids, the carrier
   for FFT-based computations.
 
-Values are stored as complex even for real-valued functions; operations
-that only make sense for real functions check that the imaginary part is
-exactly zero.  All objects are immutable after construction (backing
-arrays are marked read-only), so everything here is safe for concurrent
-read-only use.
+A PL function's values are float64 when every imaginary part is exactly
+zero and complex128 otherwise, so ``is_real`` is a dtype test and real data
+stay real through every operation built on them; operations that only make
+sense for real functions check it.  All objects are immutable after
+construction (backing arrays are marked read-only), so everything here is
+safe for concurrent read-only use.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ class PiecewiseLinearFunction:
     """Continuous periodic piecewise-linear function on the circle.
 
     ``knots`` are strictly increasing angles in [0, 2*pi); ``values`` the
-    complex value at each knot.  Between knots the function is the linear
-    interpolant; the final segment wraps from the last knot to
-    ``knots[0] + 2*pi`` where it takes ``values[0]`` again.
+    value at each knot, stored as float64 when every imaginary part is
+    exactly zero and as complex128 otherwise.  Between knots the function
+    is the linear interpolant; the final segment wraps from the last knot
+    to ``knots[0] + 2*pi`` where it takes ``values[0]`` again.
 
     ``ext_knots`` and ``ext_values`` are the knots and values closed by that
     wrap knot, so segment i runs from ``ext_knots[i]`` to ``ext_knots[i + 1]``;
@@ -105,7 +107,11 @@ class PiecewiseLinearFunction:
 
     def __post_init__(self):
         knots = np.atleast_1d(np.asarray(self.knots, dtype=float))
-        values = np.atleast_1d(np.asarray(self.values, dtype=complex))
+        values = np.atleast_1d(np.asarray(self.values))
+        if np.iscomplexobj(values) and np.any(values.imag):
+            values = values.astype(complex, copy=False)
+        else:
+            values = values.real.astype(float, copy=False)
         if knots.ndim != 1 or values.shape != knots.shape:
             raise ValueError("knots and values must be 1-d arrays of equal length")
         if knots.size < 1:
@@ -132,7 +138,7 @@ class PiecewiseLinearFunction:
 
     @property
     def is_real(self) -> bool:
-        return bool(np.all(self.values.imag == 0.0))
+        return self.values.dtype == float
 
     @cached_property
     def slopes(self) -> np.ndarray:
@@ -145,37 +151,15 @@ class PiecewiseLinearFunction:
         return _readonly(self.slopes - np.roll(self.slopes, 1))
 
     def __call__(self, t):
-        scalar = np.ndim(t) == 0
-        tt = np.atleast_1d(reduce_angle(t))
-        if self.knots.size == 1:
-            out = np.full(tt.shape, self.values[0], dtype=complex)
-            return out[0] if scalar else out
-        t_ext = self.ext_knots
-        v_ext = self.ext_values
-        pos = np.where(tt < self.knots[0], tt + TWO_PI, tt)
-        idx = np.searchsorted(t_ext, pos, side="right") - 1
-        idx = np.clip(idx, 0, t_ext.size - 2)
-        t0 = t_ext[idx]
-        t1 = t_ext[idx + 1]
-        lam = (pos - t0) / (t1 - t0)
-        out = v_ext[idx] + lam * (v_ext[idx + 1] - v_ext[idx])
-        return out[0] if scalar else out
-
-    def real_at(self, t: np.ndarray) -> np.ndarray:
-        """Re f at an array of angles t in [0, 2*pi), by one ``np.interp``
-        over the extended knots; angles below the first knot move up by 2*pi
-        onto the wrap segment.  Nothing is reduced (``__call__`` reduces), so
-        an angle outside [0, 2*pi) raises ``ValueError``."""
+        """f at an angle or an array of angles; angles outside [0, 2*pi) are
+        reduced first and non-finite ones raise ``ValueError``."""
         t = np.asarray(t, dtype=float)
-        if t.size:
-            lowest = t.min()
-            if not (lowest >= 0.0 and t.max() < TWO_PI):
-                raise ValueError("angles must lie in [0, 2*pi)")
-            # the shifted copy is needed only when some angle lies below the
-            # first knot; a function with a knot at 0 never needs it
-            if lowest < self.knots[0]:
-                t = np.where(t < self.knots[0], t + TWO_PI, t)
-        return np.interp(t, self.ext_knots, self.ext_values.real)
+        if t.size and not (t.min() >= 0.0 and t.max() < TWO_PI):
+            t = np.asarray(reduce_angle(t))
+        # angles below the first knot lie on the wrap segment, 2*pi up
+        if self.knots[0] > 0.0:
+            t = np.where(t < self.knots[0], t + TWO_PI, t)
+        return np.interp(t, self.ext_knots, self.ext_values)
 
     def to_dict(self) -> dict:
         return {
@@ -221,7 +205,7 @@ def triangle(interval: CircleInterval) -> PiecewiseLinearFunction:
     if interval.a <= 0.0 or interval.b >= TWO_PI:
         raise ValueError("interval must lie strictly inside (0, 2*pi)")
     knots = np.array([0.0, interval.a, interval.center, interval.b])
-    values = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+    values = np.array([0.0, 0.0, 1.0, 0.0])
     return PiecewiseLinearFunction(knots, values)
 
 
@@ -238,5 +222,4 @@ def total_variation(f: PiecewiseLinearFunction) -> float:
     """Total variation of a real-valued PL function, wrap segment included."""
     if not f.is_real:
         raise ValueError("total variation is defined here for real-valued functions only")
-    y = f.values.real
-    return float(np.sum(np.abs(np.diff(y)))) + abs(float(y[0] - y[-1]))
+    return float(np.sum(np.abs(np.diff(f.ext_values))))

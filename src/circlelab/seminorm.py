@@ -250,7 +250,7 @@ def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
         raise ValueError(f"delta must lie in [0, 2*pi], got {delta}")
     moduli = np.zeros(deltas.size)
     t = f.knots
-    y = f.values.real
+    y = f.values
     n = t.size
     if n > 1:
         t_ext = np.concatenate([t, t + TWO_PI])

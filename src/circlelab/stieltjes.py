@@ -40,11 +40,10 @@ def rs_integral(x: PiecewiseLinearFunction, y: PiecewiseLinearFunction) -> compl
     """int_0^{2pi} x(t) dy(t) for continuous PL x (complex ok) and real PL y."""
     _require_real(y, "integrator")
     t = np.unique(np.concatenate([x.knots, y.knots]))
-    xa = PiecewiseLinearFunction(t, x(t)).ext_values
-    ya = PiecewiseLinearFunction(t, y(t)).ext_values.real
-    dy = np.diff(ya)
-    avg = 0.5 * (xa[:-1] + xa[1:])
-    return complex(np.sum(avg * dy))
+    xa = x(t)
+    ya = y(t)
+    # piece i runs from t[i] to t[i + 1], the last one to the wrap knot t[0] + 2pi
+    return complex(np.sum(0.5 * (xa + np.roll(xa, -1)) * (np.roll(ya, -1) - ya)))
 
 
 def fourier_pairing(y: PiecewiseLinearFunction, k) -> complex | np.ndarray:
@@ -58,14 +57,11 @@ def fourier_pairing(y: PiecewiseLinearFunction, k) -> complex | np.ndarray:
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     out = np.zeros(ks.shape, dtype=complex)
     if y.n_knots >= 2:
-        t_ext = y.ext_knots
-        # real arithmetic: the complex ``slopes`` view rounds differently
-        slopes = np.diff(y.ext_values.real) / np.diff(t_ext)
         nz = ks != 0
         kk = ks[nz][:, None]
         # one exponential per knot, differenced along the knot axis
-        seg = np.diff(np.exp(1j * kk * t_ext[None, :]), axis=1)
-        out[nz] = (seg @ slopes) / (1j * ks[nz]) / TWO_PI
+        seg = np.diff(np.exp(1j * kk * y.ext_knots[None, :]), axis=1)
+        out[nz] = (seg @ y.slopes) / (1j * ks[nz]) / TWO_PI
     return complex(out[0]) if scalar else out
 
 
@@ -73,12 +69,14 @@ def fourier_pairing(y: PiecewiseLinearFunction, k) -> complex | np.ndarray:
 class StieltjesReport:
     """Pairing of v against a truncation u_n with per-tent accounting.
 
-    ``per_interval[k]`` is the exact contribution of [a_k, center_k];
+    ``value`` is the real number int v du_n (``to_dict`` still writes
+    ``value_im`` as 0.0); ``per_interval[k]`` is the exact contribution of
+    [a_k, center_k];
     ``lb_terms[k]`` the certified floor (2/9) w_k^2 when the tent is active
     at this truncation (w_k >= 3/n), else 0.
     """
 
-    value: complex
+    value: float
     per_interval: np.ndarray
     n: int
     lower_bound: float
@@ -93,8 +91,8 @@ class StieltjesReport:
 
     def to_dict(self) -> dict:
         return {
-            "value_re": float(self.value.real),
-            "value_im": float(self.value.imag),
+            "value_re": self.value,
+            "value_im": 0.0,
             "n": self.n,
             "lower_bound": self.lower_bound,
             "per_interval": self.per_interval.tolist(),
@@ -130,8 +128,8 @@ def pairing_report(
     un = truncate_un(u, n)
     t = np.unique(np.concatenate([v.knots, un.knots, sys.a, sys.center]))
     # piece i runs from t[i] to t[i + 1], the last one to the wrap knot t[0] + 2pi
-    va = v.real_at(t)
-    ua = un.real_at(t)
+    va = v(t)
+    ua = un(t)
     pieces = 0.5 * (va + np.roll(va, -1)) * (np.roll(ua, -1) - ua)
     value = float(np.sum(pieces))
 
@@ -150,7 +148,7 @@ def pairing_report(
         active = np.zeros(0, dtype=bool)
         lb_terms = np.zeros(0)
     return StieltjesReport(
-        value=complex(value),
+        value=value,
         per_interval=per,
         n=n,
         lower_bound=float(np.sum(lb_terms)),

@@ -141,3 +141,10 @@ def test_stieltjes_csv_writes_only_its_target(tmp_path):
     assert main(["stieltjes", "--system", str(system), "--n", "6", "--csv", str(target)]) == 0
     assert bystander.read_text() == "keep me\n"
     assert target.read_text().splitlines()[0] == "k,w_k,contribution,lower_bound_term"
+
+
+def test_stieltjes_rejects_a_system_with_fields_of_different_lengths(tmp_path):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"a": [1.0, 2.0], "delta": [0.01], "w": [0.5]}))
+    with pytest.raises(ValueError, match="delta has 1 entries, a has 2"):
+        main(["stieltjes", "--system", str(system), "--n", "6"])

@@ -118,14 +118,14 @@ def test_profile_values_on_the_thirds():
     sys3 = place_intervals(seq, seq.deltas.size)
     u, v = build_u(sys3), build_v(sys3)
     w = sys3.weight
-    assert np.array_equal(u(sys3.center).real, w)
-    assert np.max(np.abs(u(sys3.mid_lo).real - w / 3)) < 1e-15
-    assert np.max(np.abs(u(sys3.mid_hi).real - 2 * w / 3)) < 1e-15
+    assert np.array_equal(u(sys3.center), w)
+    assert np.max(np.abs(u(sys3.mid_lo) - w / 3)) < 1e-15
+    assert np.max(np.abs(u(sys3.mid_hi) - 2 * w / 3)) < 1e-15
     # v attains its minimum over each middle third at the endpoints: 2w/3
-    assert np.max(np.abs(v(sys3.mid_lo).real - 2 * w / 3)) < 1e-15
-    assert np.max(np.abs(v(sys3.mid_hi).real - 2 * w / 3)) < 1e-15
+    assert np.max(np.abs(v(sys3.mid_lo) - 2 * w / 3)) < 1e-15
+    assert np.max(np.abs(v(sys3.mid_hi) - 2 * w / 3)) < 1e-15
     mid = 0.5 * (sys3.mid_lo + sys3.mid_hi)
-    assert np.all(v(mid).real >= 2 * w / 3 - 1e-15)
+    assert np.all(v(mid) >= 2 * w / 3 - 1e-15)
 
 
 def test_profiles_vanish_off_support():
@@ -137,7 +137,7 @@ def test_profiles_vanish_off_support():
     assert np.all(v(gaps) == 0.0)
     right_halves = 0.5 * (sys2.center + sys2.b)
     assert np.all(v(right_halves) == 0.0)
-    assert np.all(u(right_halves).real > 0.0)
+    assert np.all(u(right_halves) > 0.0)
 
 
 def test_complex_profile_combines_parts():
@@ -146,7 +146,7 @@ def test_complex_profile_combines_parts():
     f = build_f(sys2)
     u, v = build_u(sys2), build_v(sys2)
     t = np.linspace(0.0, TWO_PI, 777, endpoint=False)
-    assert np.max(np.abs(f(t) - (u(t).real + 1j * v(t).real))) < 1e-15
+    assert np.max(np.abs(f(t) - (u(t) + 1j * v(t)))) < 1e-15
 
 
 def test_truncation_floor_and_identity_regions():
@@ -155,15 +155,15 @@ def test_truncation_floor_and_identity_regions():
     u = build_u(sys2)
     # 1/n above the peak: constant
     un = truncate_un(u, 1)
-    assert np.all(un(np.linspace(0, 6.2, 100)).real == 1.0)
+    assert np.all(un(np.linspace(0, 6.2, 100)) == 1.0)
     # u_n equals u wherever u >= 1/n
     un6 = truncate_un(u, 6)
     t = np.linspace(0.0, TWO_PI, 4001)
-    ut = u(t).real
+    ut = u(t)
     high = ut >= 1.0 / 6.0 + 1e-12
-    assert np.max(np.abs(un6(t).real[high] - ut[high])) < 1e-13
+    assert np.max(np.abs(un6(t)[high] - ut[high])) < 1e-13
     low = ut < 1.0 / 6.0 - 1e-12
-    assert np.all(un6(t).real[low] == 1.0 / 6.0)
+    assert np.all(un6(t)[low] == 1.0 / 6.0)
 
 
 def test_truncation_variation_formula():
@@ -204,6 +204,24 @@ def test_system_serialization_round_trip():
     assert np.array_equal(back.a, sys2.a)
     assert np.array_equal(back.weight, sys2.weight)
     assert np.max(np.abs(back.center - sys2.center)) < 1e-15
+
+
+def test_system_rejects_fields_of_different_lengths():
+    good = {"a": [1.0, 2.0], "delta": [0.01, 0.01], "w": [0.5, 0.5]}
+    assert TriangleSystem.from_dict(good).count == 2
+    for name, short in (("delta", [0.01]), ("weight", [0.5])):
+        key = "w" if name == "weight" else name
+        with pytest.raises(ValueError, match=f"^{name} has 1 entries, a has 2"):
+            TriangleSystem.from_dict({**good, key: short})
+    with pytest.raises(ValueError, match="^delta has 2 entries, a has 1"):
+        TriangleSystem.from_dict({**good, "a": [1.0]})
+    with pytest.raises(ValueError, match="^a must be a 1-d array"):
+        TriangleSystem.from_dict({**good, "a": [[1.0, 2.0]]})
+
+
+def test_truncation_levels_are_the_distinct_ceilings():
+    assert place_intervals(build_delta_sequence(OMEGA_CUBE_ROOT, 2), 10).n_grid == [6, 12]
+    assert place_intervals(build_delta_sequence(OMEGA_CUBE_ROOT, 1), 0).n_grid == []
 
 
 def test_empty_system():

@@ -8,6 +8,7 @@ from circlelab import (
     ModulusSpec,
     PiecewiseLinearFunction,
     build_delta_sequence,
+    build_u,
     lip_check,
     pairing_report,
     pl_spectrum,
@@ -15,8 +16,10 @@ from circlelab import (
     random_homeomorphism,
     reduce_angle,
     sample,
+    superpose,
     total_variation,
     triangle,
+    truncate_un,
 )
 from circlelab.experiments import run_obstruction
 
@@ -216,10 +219,13 @@ def test_segment_views():
     assert np.allclose(f.jumps, [2.0 - wrap, -4.0, wrap + 2.0], rtol=1e-15, atol=0.0)
     assert abs(np.sum(f.jumps)) < 1e-15
     t = np.array([0.0, 0.25, 0.5, 1.0, 4.0, 5.0, TWO_PI - 1e-9])  # both sides of the wrap
-    assert np.allclose(f.real_at(t), f(t).real, rtol=0.0, atol=1e-15)
-    for bad in (-1e-12, TWO_PI, np.nan):
+    expected = np.interp(np.where(t < 0.5, t + TWO_PI, t), f.ext_knots, f.ext_values)
+    np.testing.assert_array_equal(f(t), expected)
+    # angles outside [0, 2*pi) are reduced; non-finite ones raise
+    np.testing.assert_array_equal(f(np.array([TWO_PI, -TWO_PI, 1.0])), f(np.array([0.0, 0.0, 1.0])))
+    for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="angles"):
-            f.real_at(np.array([0.5, bad]))
+            f(np.array([0.5, bad]))
     assert np.shares_memory(f.knots, f.ext_knots) and f.jumps is f.jumps
     for view in (f.knots, f.ext_values, f.jumps):
         with pytest.raises(ValueError):
@@ -227,15 +233,42 @@ def test_segment_views():
 
 
 @pytest.mark.parametrize("first_knot", [0.0, 0.5])
-def test_real_at_matches_the_wrap_shift_formula_bit_for_bit(first_knot):
+def test_call_matches_the_wrap_shift_formula_bit_for_bit(first_knot):
     # first knot at 0: no angle lies below it; at 0.5: the grid's first angles do
     rng = np.random.default_rng(23)
     knots = np.concatenate([[first_knot], np.sort(rng.uniform(first_knot + 0.01, TWO_PI, 40))])
-    f = PiecewiseLinearFunction(knots, rng.normal(size=knots.size).astype(complex))
+    real = rng.normal(size=knots.size)
     t = np.arange(4096) * (TWO_PI / 4096)
-    pos = np.where(t < f.knots[0], t + TWO_PI, t)
-    expected = np.interp(pos, f.ext_knots, f.ext_values.real)
-    np.testing.assert_array_equal(f.real_at(t), expected)
+    for values in (real, real + 1j * rng.normal(size=knots.size)):
+        # the one-knot function is the constant values[0]
+        for f in (PiecewiseLinearFunction(knots, values), PiecewiseLinearFunction(knots[:1], values[:1])):
+            pos = np.where(t < f.knots[0], t + TWO_PI, t)
+            expected = np.interp(pos, f.ext_knots, f.ext_values)
+            assert expected.dtype == values.dtype
+            np.testing.assert_array_equal(f(t), expected)
+        assert np.all(f(t) == values[0])
+
+
+def test_real_values_are_stored_as_float():
+    knots = np.array([0.0, 1.0, 3.0])
+    real_inputs = {
+        "float": np.array([0.0, 2.0, -1.0]),
+        "int": np.array([0, 2, -1]),
+        "complex with zero imaginary": np.array([0.0, 2.0, -1.0], dtype=complex),
+    }
+    for name, values in real_inputs.items():
+        f = PiecewiseLinearFunction(knots, values)
+        assert f.values.dtype == np.float64 and f.is_real, name
+    f = PiecewiseLinearFunction.from_dict({"knots": [0.0, 1.0], "re": [1.0, 2.0], "im": [0.0, 0.0]})
+    assert f.values.dtype == np.float64 and f.is_real
+    g = PiecewiseLinearFunction(knots, np.array([0.0, 2.0 + 1e-300j, -1.0]))
+    assert g.values.dtype == np.complex128 and not g.is_real
+    assert g.values.imag[1] == 1e-300 and g.slopes.dtype == np.complex128
+    # the constructions keep real data real
+    sys = _system()
+    u = build_u(sys)
+    for h in (triangle(CircleInterval(1.0, 2.0)), u, truncate_un(u, 6), superpose(u, random_homeomorphism(8, rng=3))):
+        assert h.values.dtype == np.float64 and h.slopes.dtype == np.float64
 
 
 def test_import_loads_no_scipy():

@@ -39,7 +39,7 @@ def test_pl_seminorm_matches_mpmath_clausen_sum():
         f = _random_pl(rng, 20)
         with mpmath.workdps(40):
             x = [mpmath.mpf(float(t)) for t in f.knots]
-            jumps = [mpmath.mpf(float(j)) for j in f.jumps.real]
+            jumps = [mpmath.mpf(float(j)) for j in f.jumps]
             # C3(0) = zeta(3) on the diagonal, each off-diagonal pair twice
             total = mpmath.zeta(3) * mpmath.fsum(j * j for j in jumps)
             total += 2 * mpmath.fsum(
@@ -186,7 +186,7 @@ def test_modulus_sees_wrap_distance():
 def _brute_force_modulus(f, delta):
     """O(M^2) enumeration: knot pairs within circular distance delta, and
     each knot against the points at distance exactly delta."""
-    t, y = f.knots, f.values.real
+    t, y = f.knots, f.values
     best = 0.0
     for i in range(t.size):
         for j in range(t.size):
@@ -194,7 +194,7 @@ def _brute_force_modulus(f, delta):
             if min(gap, TWO_PI - gap) <= delta:
                 best = max(best, abs(y[i] - y[j]))
         for s in (t[i] + delta, t[i] - delta):
-            best = max(best, abs(f(s).real - y[i]))
+            best = max(best, abs(f(s) - y[i]))
     return best
 
 
@@ -204,7 +204,7 @@ def test_modulus_matches_brute_force_enumeration():
     # support straddling the wrap point: zero on [0.6, 5.6]
     knots = np.array([0.0, 0.3, 0.6, 2.0, 4.0, 5.6, 5.9, 6.2])
     values = np.concatenate([rng.uniform(-1.0, 1.0, 2), np.zeros(4), rng.uniform(-1.0, 1.0, 2)])
-    functions.append(PiecewiseLinearFunction(knots, values.astype(complex)))
+    functions.append(PiecewiseLinearFunction(knots, values))
     deltas = np.array([1e-4, 0.3, 1.0, 2.5, math.pi - 1e-9, math.pi, TWO_PI])
     for f in functions:
         expected = np.array([_brute_force_modulus(f, d) for d in deltas])
