@@ -2,7 +2,8 @@
 
 Subcommands: verify, construct, seminorm, stieltjes, obstruct, lacunary.
 Flags may also be given through ``--config FILE`` as flat KEY=VALUE lines
-(flags on the command line win).  Exit code 0 means all checks passed.
+(flags on the command line win).  Exit code 0 means all checks passed, 1
+that a check failed and 2 that the input was rejected.
 """
 
 from __future__ import annotations
@@ -145,9 +146,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Invalid input (a ``ValueError``) is reported as
+    one ``circlelab: error:`` line on stderr with exit code 2."""
     args = build_parser().parse_args(argv)
-    cfg = parse_config(args.config) if getattr(args, "config", None) else {}
+    try:
+        cfg = parse_config(args.config) if getattr(args, "config", None) else {}
+        return _run(args, cfg)
+    except ValueError as exc:
+        print(f"circlelab: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args, cfg: dict) -> int:
     if args.command == "verify":
         config = VerifyConfig(
             alpha=_resolve(args, cfg, "alpha", _THIRD, float),

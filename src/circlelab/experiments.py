@@ -14,10 +14,10 @@ restarts) to minimize
 
     max_n  ||v o h|| * ||u_n o h||        (spectral seminorms, s = 1/2).
 
-Each candidate's seminorms come from one grid sampling of v o h and of
-u o h, with the levels n applied as a pointwise max on the samples, and
-real FFTs that transform a batch of rows per call into buffers allocated
-once per block count.
+Each candidate's seminorms come from one sampling of v o h and of u o h
+on a 2^15-point grid, with the levels n applied as a pointwise max on the
+samples, and one real FFT of all rows into buffers allocated once per
+block count, summed over the whole spectrum up to the Nyquist frequency.
 
 Every candidate ever evaluated is audited against the precomputed lower
 bounds: the dual-norm inequality guarantees no h can beat them, so the
@@ -575,13 +575,6 @@ class ObstructionRecord:
         return ObstructionRecord(**d)
 
 
-# Rows per rfft call: one call per batch of rows replaces one call per row.
-# 4 rows keep the block and spectra buffers at 2 MB each at N = 2^16;
-# transforming every row at once (8 at J = 7) was only slightly faster and
-# raised peak RSS by about 9%.
-BATCH_ROWS = 4
-
-
 class _ProductObjective:
     """max_n ||v o h|| * ||u_n o h|| with built-in lower-bound auditing.
 
@@ -590,32 +583,32 @@ class _ProductObjective:
     angle reduction and both start with a knot at 0).  Sampling commutes
     with the pointwise max, so max(samples of u o h, 1/n) are the samples
     of u_n o h = ``truncate_un(u o h, n)`` and no truncated PL function is
-    built.  Row 0 holds v o h and row i the level 1/n_i; the rows go
-    through ``BATCH_ROWS`` at a time: written into one block, transformed
-    by one real FFT into a spectra block (both allocated once), then
-    squared in place up to ``max_freq`` and reduced by one matrix-vector
-    product with the weights 2k/N^2, which gives the squared spectral
-    seminorms truncated at ``max_freq``.  The per-n lower bounds
-    are exact constants precomputed from the pairing, so auditing every
-    evaluation is free.
+    built.  Row 0 of one block holds v o h and row i the level 1/n_i; the
+    block and its spectra (both allocated once) go through one real FFT,
+    and the float view of the spectra is squared in place and reduced by
+    one matrix-vector product.  The weights 2k/N^2 for 1 <= k < N/2 and
+    k/N^2 for the Nyquist bin k = N/2, counted once, sum the whole spectrum
+    of the samples: the squared seminorm of their trigonometric
+    interpolant.  The per-n lower bounds are exact constants precomputed
+    from the pairing, so auditing every evaluation is free.
     """
 
-    def __init__(self, u, v, n_grid, bounds, grid_n, max_freq, audit_tol):
+    def __init__(self, u, v, n_grid, bounds, grid_n, audit_tol):
         self.u = u
         self.v = v
         self.n_grid = list(n_grid)
         self.bounds = np.asarray(bounds, dtype=float)
         self.grid_n = int(grid_n)
-        self.max_freq = int(max_freq)
         self.audit_tol = float(audit_tol)
         self.t_grid = np.arange(self.grid_n) * (TWO_PI / self.grid_n)
-        # the floor under each row: none for v o h, 1/n for each level
-        self._floors = np.array([-math.inf] + [1.0 / n for n in self.n_grid])
-        batch = min(BATCH_ROWS, len(self._floors))
-        self._block = np.empty((batch, self.grid_n))
-        self._spectra = np.empty((batch, self.grid_n // 2 + 1), dtype=complex)
-        # weights on the interleaved (re, im) float view of frequencies 0..max_freq
-        k = np.arange(self.max_freq + 1, dtype=float)
+        # the floor 1/n under each level's row, as a column against the block
+        self._levels = np.array([1.0 / n for n in self.n_grid])[:, None]
+        rows = 1 + len(self.n_grid)
+        self._block = np.empty((rows, self.grid_n))
+        self._spectra = np.empty((rows, self.grid_n // 2 + 1), dtype=complex)
+        # weights on the interleaved (re, im) float view of frequencies 0..N/2
+        k = np.arange(self.grid_n // 2 + 1, dtype=float)
+        k[-1] /= 2.0
         self._weights = np.repeat(2.0 * k / float(self.grid_n) ** 2, 2)
         self.evals = 0
         self.violations = 0
@@ -628,20 +621,12 @@ class _ProductObjective:
         # sample each composition before building the next: holding both
         # raised the heap peak, and at J = 7 most processes then refaulted
         # about 4 MB of freed heap per evaluation
-        vh_samples = superpose(self.v, h)(self.t_grid)
-        uh_samples = superpose(self.u, h)(self.t_grid)
-        rows = len(self._floors)
-        squares = np.empty(rows)
-        for start in range(0, rows, BATCH_ROWS):
-            stop = min(start + BATCH_ROWS, rows)
-            block = self._block[: stop - start]
-            for row, i in zip(block, range(start, stop)):
-                np.maximum(uh_samples if i else vh_samples, self._floors[i], out=row)
-            spectra = np.fft.rfft(block, axis=1, out=self._spectra[: stop - start])
-            power = spectra.view(float)[:, : self._weights.size]
-            np.square(power, out=power)
-            np.matmul(power, self._weights, out=squares[start:stop])
-        norms = np.sqrt(squares)
+        self._block[0] = superpose(self.v, h)(self.t_grid)
+        np.maximum(superpose(self.u, h)(self.t_grid), self._levels, out=self._block[1:])
+        spectra = np.fft.rfft(self._block, axis=1, out=self._spectra)
+        power = spectra.view(float)
+        np.square(power, out=power)
+        norms = np.sqrt(power @ self._weights)
         products = norms[0] * norms[1:]
         self.evals += 1
         if np.any(products * (1.0 + self.audit_tol) < self.bounds):
@@ -664,8 +649,7 @@ def run_obstruction(
     budget: int = 2000,
     seed: int = 7,
     restarts: int = 4,
-    grid_n: int = 1 << 16,
-    max_freq: int = 1 << 14,
+    grid_n: int = 1 << 15,
     roughness: float = 0.3,
     audit_tol: float = 1e-6,
     strict: bool = True,
@@ -676,15 +660,13 @@ def run_obstruction(
     so records do not depend on execution order and identical inputs give
     identical records.
     """
-    grid_n, max_freq, restarts = int(grid_n), int(max_freq), int(restarts)
+    grid_n, restarts = int(grid_n), int(restarts)
     knots, budget = int(knots), int(budget)
     roughness, audit_tol = float(roughness), float(audit_tol)
     if knots < 2:
         raise ValueError(f"knots must be at least 2, got {knots}")
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    if not 1 <= max_freq <= grid_n // 2:
-        raise ValueError(f"max_freq must be in 1..grid_n // 2 = {grid_n // 2}, got {max_freq}")
+    if grid_n < 4 or grid_n & (grid_n - 1):
+        raise ValueError(f"grid_n must be a power of two at least 4, got {grid_n}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if budget < restarts:
@@ -703,7 +685,7 @@ def run_obstruction(
         reports = [pairing_report(sys, n, u=u, v=v) for n in n_grid]
         lower_bounds = [abs(r.value) / TWO_PI for r in reports]
         certified = [r.lower_bound / TWO_PI for r in reports]
-        engine = _ProductObjective(u, v, n_grid, lower_bounds, grid_n, max_freq, audit_tol)
+        engine = _ProductObjective(u, v, n_grid, lower_bounds, grid_n, audit_tol)
         _, identity_products = engine.evaluate(np.zeros(knots))
         per_restart = budget // restarts
         for r in range(restarts):

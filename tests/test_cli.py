@@ -85,9 +85,11 @@ def test_obstruct_writes_files(tmp_path, capsys):
     assert "violations=0" in text
 
 
-def test_obstruct_rejects_a_budget_below_the_restarts(tmp_path):
-    with pytest.raises(ValueError, match="budget"):
-        main(["obstruct", "--blocks", "1", "--budget", "0", "--out", str(tmp_path)])
+def test_obstruct_rejects_a_budget_below_the_restarts(tmp_path, capsys):
+    assert main(["obstruct", "--blocks", "1", "--budget", "0", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "circlelab: error: budget must be at least restarts = 4, got 0\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -143,8 +145,10 @@ def test_stieltjes_csv_writes_only_its_target(tmp_path):
     assert target.read_text().splitlines()[0] == "k,w_k,contribution,lower_bound_term"
 
 
-def test_stieltjes_rejects_a_system_with_fields_of_different_lengths(tmp_path):
+def test_stieltjes_rejects_a_system_with_fields_of_different_lengths(tmp_path, capsys):
     system = tmp_path / "system.json"
     system.write_text(json.dumps({"a": [1.0, 2.0], "delta": [0.01], "w": [0.5]}))
-    with pytest.raises(ValueError, match="delta has 1 entries, a has 2"):
-        main(["stieltjes", "--system", str(system), "--n", "6"])
+    assert main(["stieltjes", "--system", str(system), "--n", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("circlelab: error: ") and err.count("\n") == 1
+    assert "delta has 1 entries, a has 2" in err

@@ -11,6 +11,7 @@ from circlelab import (
     build_u,
     build_v,
     from_increments,
+    pl_seminorm,
     place_intervals,
     sample,
     superpose,
@@ -82,9 +83,7 @@ def test_lacunary_fixture_bounds():
 
 
 def smoke_records():
-    return run_obstruction(
-        OMEGA, [1, 2], knots=8, budget=60, seed=3, grid_n=1 << 12, max_freq=1 << 10
-    )
+    return run_obstruction(OMEGA, [1, 2], knots=8, budget=60, seed=3, grid_n=1 << 12)
 
 
 def test_obstruction_smoke_invariants():
@@ -154,7 +153,7 @@ def test_emit_rejects_unknown_format(tmp_path):
 def test_exploratory_sqrt_modulus_runs():
     records = run_obstruction(
         ModulusSpec.power(0.5), [1], knots=8, budget=40, seed=3,
-        grid_n=1 << 12, max_freq=1 << 10, strict=False,
+        grid_n=1 << 12, strict=False,
     )
     assert records[0].violations == 0
 
@@ -162,9 +161,10 @@ def test_exploratory_sqrt_modulus_runs():
 @pytest.mark.parametrize(
     "kwargs, name",
     [
-        ({"max_freq": 0}, "max_freq"),
-        ({"grid_n": 1 << 10, "max_freq": (1 << 9) + 1}, "max_freq"),
         ({"grid_n": 0}, "grid_n"),
+        ({"grid_n": 2}, "grid_n"),
+        ({"grid_n": 3}, "grid_n"),
+        ({"grid_n": 6}, "grid_n"),
         ({"restarts": 0}, "restarts"),
         ({"knots": 1}, "knots"),
         ({"budget": 3}, "budget"),
@@ -184,37 +184,52 @@ def test_run_obstruction_rejects_bad_inputs(kwargs, name, monkeypatch):
         run_obstruction(OMEGA, [1], **{"knots": 4, "budget": 4, **kwargs})
 
 
-def _objective(blocks, grid_n=1 << 16, max_freq=1 << 14):
+def _objective(blocks, grid_n=1 << 15):  # run_obstruction's default grid
     seq = build_delta_sequence(OMEGA, blocks)
     sys_ = place_intervals(seq, seq.deltas.size)
     u, v = build_u(sys_), build_v(sys_)
     n_grid = sorted({math.ceil(3.0 / w) for w in sys_.weight.tolist()})
-    return _ProductObjective(u, v, n_grid, np.zeros(len(n_grid)), grid_n, max_freq, 1e-6)
+    return _ProductObjective(u, v, n_grid, np.zeros(len(n_grid)), grid_n, 1e-6)
 
 
-def _reference_seminorm(f, grid_n, max_freq):
+def _reference_seminorm(f, grid_n):
+    # the whole spectrum of the samples, the Nyquist bin k = N/2 counted once
     big = np.fft.rfft(sample(f, grid_n).samples.real) / grid_n
-    k = np.arange(1, max_freq + 1)
-    return math.sqrt(2.0 * float(np.sum(np.abs(big[1 : max_freq + 1]) ** 2 * k)))
+    weight = 2.0 * np.arange(grid_n // 2 + 1)
+    weight[-1] /= 2.0
+    return math.sqrt(float(np.sum(np.abs(big) ** 2 * weight)))
 
 
-# J = 6 has 7 rows (v and 6 levels): one full batch of rows and a remainder
 @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5, 6])
 def test_objective_matches_truncated_pl_path(blocks):
     engine = _objective(blocks)
-    n, m = engine.grid_n, engine.max_freq
+    n = engine.grid_n
     for seed in range(3):
         raw = np.random.default_rng([seed, blocks]).uniform(-0.3, 0.3, 32)
         _, products = engine.evaluate(raw)
         h = from_increments(raw)
         uh = superpose(engine.u, h)
-        nv = _reference_seminorm(superpose(engine.v, h), n, m)
-        expected = [nv * _reference_seminorm(truncate_un(uh, k), n, m) for k in engine.n_grid]
+        nv = _reference_seminorm(superpose(engine.v, h), n)
+        expected = [nv * _reference_seminorm(truncate_un(uh, k), n) for k in engine.n_grid]
         np.testing.assert_allclose(products, expected, rtol=1e-12, atol=0.0)
 
 
+def test_objective_products_lie_near_the_exact_ones():
+    # design rule 2: the default grid's products against the exact PL
+    # seminorms, at the identity and at three seeded maps (roughness 0.3)
+    engine = _objective(4)
+    raws = [np.zeros(32)] + [np.random.default_rng([seed, 4]).uniform(-0.3, 0.3, 32) for seed in range(3)]
+    for raw in raws:
+        _, products = engine.evaluate(raw)
+        h = from_increments(raw)
+        uh = superpose(engine.u, h)
+        nv = pl_seminorm(superpose(engine.v, h))
+        exact = [nv * pl_seminorm(truncate_un(uh, k)) for k in engine.n_grid]
+        np.testing.assert_allclose(products, exact, rtol=0.02, atol=0.0)
+
+
 def test_later_evaluations_leave_earlier_results_alone():
-    engine = _objective(3, grid_n=1 << 12, max_freq=1 << 10)
+    engine = _objective(3, grid_n=1 << 12)
     _, first = engine.evaluate(np.zeros(8))
     first_copy, best, best_copy = first.copy(), engine.best_products, engine.best_products.copy()
     rng = np.random.default_rng(5)
