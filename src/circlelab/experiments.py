@@ -589,8 +589,9 @@ class _ProductObjective:
     one matrix-vector product.  The weights 2k/N^2 for 1 <= k < N/2 and
     k/N^2 for the Nyquist bin k = N/2, counted once, sum the whole spectrum
     of the samples: the squared seminorm of their trigonometric
-    interpolant.  The per-n lower bounds are exact constants precomputed
-    from the pairing, so auditing every evaluation is free.
+    interpolant on the frequencies -N/2 < k <= N/2.  The per-n lower
+    bounds are exact constants precomputed from the pairing, so auditing
+    every evaluation is free.
     """
 
     def __init__(self, u, v, n_grid, bounds, grid_n, audit_tol):
@@ -606,7 +607,8 @@ class _ProductObjective:
         rows = 1 + len(self.n_grid)
         self._block = np.empty((rows, self.grid_n))
         self._spectra = np.empty((rows, self.grid_n // 2 + 1), dtype=complex)
-        # weights on the interleaved (re, im) float view of frequencies 0..N/2
+        # weights on the interleaved (re, im) float view of frequencies
+        # 0..N/2; the Nyquist bin is the one frequency N/2 of -N/2 < k <= N/2
         k = np.arange(self.grid_n // 2 + 1, dtype=float)
         k[-1] /= 2.0
         self._weights = np.repeat(2.0 * k / float(self.grid_n) ** 2, 2)

@@ -161,10 +161,9 @@ def test_exploratory_sqrt_modulus_runs():
 @pytest.mark.parametrize(
     "kwargs, name",
     [
-        ({"grid_n": 0}, "grid_n"),
-        ({"grid_n": 2}, "grid_n"),
         ({"grid_n": 3}, "grid_n"),
         ({"grid_n": 6}, "grid_n"),
+        ({"grid_n": 0}, "grid_n"),
         ({"restarts": 0}, "restarts"),
         ({"knots": 1}, "knots"),
         ({"budget": 3}, "budget"),
@@ -175,6 +174,7 @@ def test_exploratory_sqrt_modulus_runs():
         ({"roughness": math.nan}, "roughness"),
         ({"roughness": math.inf}, "roughness"),
         ({"roughness": -1.0}, "roughness"),
+        ({"grid_n": 2}, "grid_n"),
     ],
 )
 def test_run_obstruction_rejects_bad_inputs(kwargs, name, monkeypatch):
