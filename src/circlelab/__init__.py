@@ -12,7 +12,6 @@ from .core import (
 )
 from .fourier import (
     SpectrumCoeffs,
-    dft_coeffs,
     harmonic,
     pl_mean,
     pl_spectrum,

@@ -35,7 +35,7 @@ def parse_config(path: str | Path) -> dict:
     """Flat KEY=VALUE lines; '#' starts a comment; keys mirror the flags.
     An unknown key is an error, so a typo never falls back to a default."""
     out = {}
-    for raw_line in Path(path).read_text().splitlines():
+    for raw_line in _read_input(path).splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -62,12 +62,20 @@ def _resolve(args, cfg: dict, name: str, default, cast):
     return default
 
 
+def _read_input(path: str | Path) -> str:
+    """Text of an input file; one that cannot be read is rejected input."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _check_alpha(alpha: float, exploratory: bool) -> float:
     if exploratory:
         if not (0.0 < alpha <= 0.5):
-            raise SystemExit(f"--exploratory allows alpha in (0, 1/2], got {alpha}")
+            raise ValueError(f"--exploratory allows alpha in (0, 1/2], got {alpha}")
     elif not (0.0 < alpha < 0.5):
-        raise SystemExit(
+        raise ValueError(
             f"alpha must lie in (0, 1/2) for construction commands, got {alpha} "
             "(alpha = 1/2 is available under --exploratory, with no verified claims)"
         )
@@ -75,12 +83,12 @@ def _check_alpha(alpha: float, exploratory: bool) -> float:
 
 
 def _load_pl(path: str, which: str) -> PiecewiseLinearFunction:
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(_read_input(path))
     if "knots" in payload:
         return PiecewiseLinearFunction.from_dict(payload)
     if which in payload:
         return PiecewiseLinearFunction.from_dict(payload[which])
-    raise SystemExit(f"no PL function {which!r} in {path}")
+    raise ValueError(f"no PL function {which!r} in {path}")
 
 
 def _add_common(p):
@@ -146,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Invalid input (a ``ValueError``) is reported as
-    one ``circlelab: error:`` line on stderr with exit code 2."""
+    """Run one subcommand.  Invalid input (a ``ValueError``, which an input
+    file that cannot be read also raises) is reported as one
+    ``circlelab: error:`` line on stderr with exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config) if getattr(args, "config", None) else {}
@@ -208,7 +217,7 @@ def _run(args, cfg: dict) -> int:
         return 0
 
     if args.command == "stieltjes":
-        payload = json.loads(Path(args.system).read_text())
+        payload = json.loads(_read_input(args.system))
         sys_ = TriangleSystem.from_dict(payload["system"] if "system" in payload else payload)
         report = pairing_report(sys_, args.n)
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True)

@@ -49,6 +49,7 @@ from .core import (
 )
 from .fourier import SpectrumCoeffs, harmonic, pl_spectrum, synthesize
 from .seminorm import (
+    EquivalenceEstimate,
     ModulusSpec,
     equivalence_scan,
     harmonic_shift_weight,
@@ -452,14 +453,17 @@ def check_equivalence(
     k_count: int, n: int, seeds=(42, 1042), draws: int = 100, oracle_tol: float = 0.01
 ) -> SuiteResult:
     """Harmonic ratios against the quadrature oracle plus random-family spread."""
-    harmonics = [harmonic(k) for k in range(1, k_count + 1)]
-    est = equivalence_scan(harmonics, n)
+    # ||e^{ikt}||_{1/2} = sqrt(k): one ratio per harmonic serves the
+    # bracket and the oracle deviation
+    ratios = np.array(
+        [sobolev_integral(synthesize(harmonic(k), n)) / math.sqrt(k) for k in range(1, k_count + 1)]
+    )
+    est = EquivalenceEstimate(float(np.min(ratios)), float(np.max(ratios)), k_count)
     if est.spread >= 4.0:
         return SuiteResult("equivalence", False, f"harmonic spread {est.spread:.3f} >= 4")
     worst_rel = 0.0
-    for k in range(1, k_count + 1):
+    for k, measured in enumerate(ratios.tolist(), start=1):
         oracle = math.sqrt(TWO_PI * harmonic_shift_weight(k)) / math.sqrt(k)
-        measured = sobolev_integral(synthesize(harmonic(k), n)) / math.sqrt(k)
         worst_rel = max(worst_rel, abs(measured - oracle) / oracle)
     if worst_rel > oracle_tol:
         return SuiteResult(

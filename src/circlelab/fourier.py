@@ -25,7 +25,6 @@ from .core import TWO_PI, GridFunction, PiecewiseLinearFunction, _readonly
 
 __all__ = [
     "SpectrumCoeffs",
-    "dft_coeffs",
     "pl_spectrum",
     "pl_mean",
     "synthesize",
@@ -60,21 +59,6 @@ class SpectrumCoeffs:
         if abs(k) > self.max_freq:
             return 0.0 + 0.0j
         return complex(self.coeffs[self.max_freq + k])
-
-
-def dft_coeffs(g: GridFunction, max_freq: int | None = None) -> SpectrumCoeffs:
-    """Discrete approximation of the Fourier coefficients from grid samples.
-
-    Requires 2*max_freq < N so the reported range is alias-free; the
-    default N/4 keeps aliasing below discretization error for PL sources.
-    """
-    n = g.n_samples
-    max_freq = n // 4 if max_freq is None else int(max_freq)
-    if 2 * max_freq >= n:
-        raise ValueError(f"max_freq={max_freq} too large for {n} samples")
-    big = np.fft.fft(g.samples) / n
-    ks = np.arange(-max_freq, max_freq + 1)
-    return SpectrumCoeffs(max_freq, big[ks % n])
 
 
 def pl_mean(f: PiecewiseLinearFunction) -> complex:

@@ -12,20 +12,24 @@ The double integral is discretized on the sample grid: the inner integral
 is evaluated exactly (for grid data) as 2*pi times the mean of
 |g(t+theta_m)-g(t)|^2 at each grid shift theta_m = 2*pi*m/N, and the outer
 integral by the midpoint rule over the cells centred at theta_m, m >= 1
-(the singular theta=0 cell is excluded).  The shift means are obtained for
-all m at once through the circular autocorrelation (one FFT pair), which
-is algebraically identical to the double loop.
+(the singular theta=0 cell is excluded).  By Parseval the mean at shift
+theta_m is (2/N^2) sum_k |G_k|^2 (1 - cos(2*pi*k*m/N)) in the unnormalized
+DFT G of the samples, so the whole double sum is a fixed quadratic form
+sum_k W_k |G_k|^2: one FFT of the samples against weights W built once per
+N.  This is algebraically identical to the double loop.
 
 For PL functions ``pl_seminorm`` gives the order-1/2 spectral form exactly.
 
 Also here: moduli of continuity of real PL functions (one exact sweep over
 a whole delta grid, the range-extremum sparse tables of the knot values
-built once per function), Lipschitz-class checks, and the empirical
+over one period built once per function, a window that runs past the
+last knot read as two), Lipschitz-class checks, and the empirical
 equivalence-constant scan between the two seminorm forms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -184,52 +188,41 @@ def pl_seminorm(f: PiecewiseLinearFunction) -> float:
     return math.sqrt(max(math.fsum(parts) / (2.0 * math.pi**2), 0.0))
 
 
-def _shift_energies(g: GridFunction) -> np.ndarray:
-    """mean_j |g(t_j + theta_m) - g(t_j)|^2 for every grid shift m = 0..N-1,
-    via the circular autocorrelation identity."""
-    big = np.fft.fft(g.samples)
-    corr = np.fft.ifft(np.abs(big) ** 2) / g.n_samples  # mean_j g_{j+m} conj(g_j)
-    power = corr[0].real
-    return np.maximum(2.0 * (power - corr.real), 0.0)
+@functools.lru_cache(maxsize=8)
+def _shift_weights(n: int) -> np.ndarray:
+    """W_k = (8 pi^2 / n^3) sum_{m=1}^{n-1} (1 - cos(2 pi k m / n)) / theta_m^2
+    for k = 0..n-1, theta_m = 2 pi m / n: the discretized double integral is
+    sum_k W_k |G_k|^2 in the unnormalized DFT G of the samples.
+
+    One real FFT of 1/theta_m^2 gives the cosine sums for k <= n/2 and
+    W_{n-k} = W_k gives the rest.  Built on first use and kept for the last
+    few n; read-only.
+    """
+    inv_sq = np.zeros(n)
+    inv_sq[1:] = (n / (TWO_PI * np.arange(1, n))) ** 2
+    half = (8.0 * math.pi**2 / n**3) * (inv_sq.sum() - np.fft.rfft(inv_sq).real)
+    half[0] = 0.0
+    return _readonly(np.concatenate([half, half[-2:0:-1]]))
 
 
 def sobolev_integral(g: GridFunction) -> float:
     """Difference-quotient seminorm of grid data (see module docstring)."""
-    n = g.n_samples
-    energies = _shift_energies(g)
-    m = np.arange(1, n)
-    thetas = m * (TWO_PI / n)
-    total = np.sum((TWO_PI / n) * (TWO_PI * energies[1:]) / thetas**2)
-    return math.sqrt(max(float(total), 0.0))
+    big = np.fft.fft(g.samples)
+    return math.sqrt(float((big.real**2 + big.imag**2) @ _shift_weights(g.n_samples)))
 
 
-def _sparse_tables(a: np.ndarray, op):
-    """Level l holds op over the windows a[i : i + 2^l] (the range-minimum
-    sparse table of Bender & Farach-Colton, LATIN 2000)."""
-    levels = [a]
-    size = a.size
-    l = 1
-    while (1 << l) <= size:
-        prev = levels[-1]
+def _sparse_tables(a: np.ndarray, op) -> np.ndarray:
+    """Row l holds op over the windows a[i : i + 2^l], i <= a.size - 2^l (the
+    range-extremum sparse table of Bender & Farach-Colton, LATIN 2000); the
+    rest of each row is never read."""
+    n = a.size
+    table = np.empty((n.bit_length(), n), dtype=a.dtype)
+    table[0] = a
+    for l in range(1, n.bit_length()):
         half = 1 << (l - 1)
-        levels.append(op(prev[:-half], prev[half:]))
-        l += 1
-    return levels
-
-
-def _range_query(levels, lo: np.ndarray, hi: np.ndarray):
-    """Extrema over inclusive index ranges [lo, hi] (lo <= hi assumed): the
-    classic two-overlapping-blocks sparse-table lookup, grouped by level."""
-    length = hi - lo + 1
-    lev = np.floor(np.log2(length)).astype(int)
-    left = np.empty(lo.shape, dtype=levels[0].dtype)
-    right = np.empty_like(left)
-    for l in np.unique(lev):
-        mask = lev == l
-        tab = levels[l]
-        left[mask] = tab[lo[mask]]
-        right[mask] = tab[hi[mask] - (1 << int(l)) + 1]
-    return left, right
+        width = n - (1 << l) + 1
+        op(table[l - 1, :width], table[l - 1, half : half + width], out=table[l, :width])
+    return table
 
 
 def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
@@ -239,9 +232,11 @@ def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
     The supremum is attained with one point at a knot and the other at a
     knot or at distance exactly delta, so the search over that finite
     candidate set is exact.  The max and min sparse tables of the knot
-    values over two periods depend only on f and are built once; each delta
-    below pi then costs one range query per knot (the knots within delta
-    after it) and the two edge values f(t +- delta).
+    values over one period depend only on f and are built once; each delta
+    below pi then costs, per knot, the extremes over the knots within delta
+    after it (a window that runs past the last knot is split into its part
+    up to the last knot and its part from knot 0) and the two edge values
+    f(t +- delta).
     """
     if not f.is_real:
         raise ValueError("moduli of continuity are defined here for real-valued functions only")
@@ -254,24 +249,34 @@ def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
     n = t.size
     if n > 1:
         t_ext = np.concatenate([t, t + TWO_PI])
-        y_ext = np.concatenate([y, y])
-        tmax = _sparse_tables(y_ext, np.maximum)
-        tmin = _sparse_tables(y_ext, np.minimum)
-        lo = np.arange(n) + 1
+        tmax = _sparse_tables(y, np.maximum)
+        tmin = _sparse_tables(y, np.minimum)
+        lo = np.arange(1, n + 1)
         for i, d in enumerate(deltas.ravel()):
             if d == 0.0:
                 continue
             if d >= math.pi:
                 moduli[i] = np.max(y) - np.min(y)
                 continue
+            # window [lo, hi] of the knots within delta after each knot, in
+            # the indices of two periods
             hi = np.searchsorted(t_ext, t + d, side="right") - 1
-            mask = hi >= lo
+            head_hi = np.minimum(hi, n - 1)
+            tail_lo = np.maximum(lo, n) - n
+            head = lo <= head_hi
+            tail = tail_lo <= hi - n
+            start = np.concatenate([lo[head], tail_lo[tail]])
+            end = np.concatenate([head_hi[head], hi[tail] - n])
             best = 0.0
-            if mask.any():
-                a1, a2 = _range_query(tmax, lo[mask], hi[mask])
-                b1, b2 = _range_query(tmin, lo[mask], hi[mask])
-                yi = y[mask]
-                best = float(np.max(np.maximum(np.maximum(a1, a2) - yi, yi - np.minimum(b1, b2))))
+            if start.size:
+                yi = np.concatenate([y[head], y[tail]])
+                # the two overlapping blocks of length 2^level, as flat
+                # indices into the (levels x n) tables
+                level = np.frexp(end - start + 1)[1].astype(np.intp) - 1
+                cells = np.stack([start, end - (1 << level) + 1]) + level * n
+                top = np.max(tmax.take(cells), axis=0)
+                bottom = np.min(tmin.take(cells), axis=0)
+                best = float(np.max(np.maximum(top - yi, yi - bottom)))
             up = np.abs(f(reduce_angle(t + d)) - y)
             down = np.abs(f(reduce_angle(t - d)) - y)
             moduli[i] = max(best, float(np.max(up)), float(np.max(down)))

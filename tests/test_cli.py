@@ -50,11 +50,41 @@ def test_seminorm_accepts_bare_pl(tmp_path):
     assert main(["seminorm", "--in", str(path), "--grid", "1024"]) == 0
 
 
-def test_alpha_gate():
-    with pytest.raises(SystemExit):
-        main(["construct", "--alpha", "0.5", "--blocks", "1", "--out", "/tmp/x.json"])
-    with pytest.raises(SystemExit):
-        main(["construct", "--alpha", "0.7", "--blocks", "1", "--out", "/tmp/x.json"])
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("circlelab: error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_alpha_gate(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["construct", "--alpha", "0.5", "--blocks", "1", "--out", str(out)]) == 2
+    assert "alpha must lie in (0, 1/2)" in _one_error_line(capsys)
+    assert main(["construct", "--alpha", "0.6", "--blocks", "1", "--out", str(out), "--exploratory"]) == 2
+    assert "--exploratory allows alpha in (0, 1/2]" in _one_error_line(capsys)
+
+
+def test_construct_rejects_alpha_above_half(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["construct", "--alpha", "0.7", "--blocks", "1", "--out", str(out)]) == 2
+    assert "got 0.7" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_missing_input_files_are_rejected(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["seminorm", "--in", str(missing)]) == 2
+    assert _one_error_line(capsys) == f"circlelab: error: cannot read {missing}: No such file or directory\n"
+    assert main(["stieltjes", "--system", str(missing), "--n", "6"]) == 2
+    assert "cannot read" in _one_error_line(capsys)
+
+
+def test_seminorm_rejects_a_file_without_the_field(tmp_path, capsys):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({"w": [1.0]}))
+    assert main(["seminorm", "--in", str(path), "--field", "v"]) == 2
+    assert "no PL function 'v'" in _one_error_line(capsys)
 
 
 def test_exploratory_allows_half(tmp_path):

@@ -13,6 +13,7 @@ from circlelab import (
     SpectrumCoeffs,
     build_delta_sequence,
     build_u,
+    build_v,
     default_delta_grid,
     equivalence_scan,
     harmonic,
@@ -22,6 +23,7 @@ from circlelab import (
     place_intervals,
     pl_seminorm,
     pl_spectrum,
+    reduce_angle,
     sample,
     sobolev_integral,
     sobolev_spectral,
@@ -151,17 +153,50 @@ def test_shift_weight_scales_linearly():
 
 
 def test_integral_agrees_with_double_loop():
-    # the autocorrelation shortcut must equal the literal double sum
+    # the weight form must equal the literal double sum
     rng = np.random.default_rng(2)
     n = 64
-    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
-    g = GridFunction(n, samples)
-    total = 0.0
-    for m in range(1, n):
-        theta = m * (TWO_PI / n)
-        inner = TWO_PI * np.mean(np.abs(np.roll(samples, -m) - samples) ** 2)
-        total += (TWO_PI / n) * inner / theta**2
-    assert abs(sobolev_integral(g) - math.sqrt(total)) < 1e-12
+    for samples in (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n)):
+        g = GridFunction(n, samples)
+        total = 0.0
+        for m in range(1, n):
+            theta = m * (TWO_PI / n)
+            inner = TWO_PI * np.mean(np.abs(np.roll(samples, -m) - samples) ** 2)
+            total += (TWO_PI / n) * inner / theta**2
+        assert abs(sobolev_integral(g) - math.sqrt(total)) < 1e-12
+
+
+def _autocorrelation_integral(g):
+    """The difference-quotient seminorm through the circular autocorrelation:
+    shift energies 2 (power - Re corr_m), clamped at 0, summed against the
+    midpoint weights of 1/theta^2."""
+    n = g.n_samples
+    big = np.fft.fft(g.samples)
+    corr = np.fft.ifft(np.abs(big) ** 2) / n
+    energies = np.maximum(2.0 * (corr[0].real - corr.real), 0.0)
+    thetas = np.arange(1, n) * (TWO_PI / n)
+    return math.sqrt(np.sum((TWO_PI / n) * (TWO_PI * energies[1:]) / thetas**2))
+
+
+def test_integral_matches_the_autocorrelation_form():
+    from circlelab.experiments import _random_trig_poly
+
+    rng = np.random.default_rng(17)
+    grids = [synthesize(_random_trig_poly(rng, 64), 1 << 14) for _ in range(20)]
+    grids += [sample(_random_pl(rng, 64), 1 << 14) for _ in range(5)]
+    grids += [sample(_random_pl(rng, 64), 1 << 12) for _ in range(5)]
+    for g in grids:
+        assert sobolev_integral(g) == pytest.approx(_autocorrelation_integral(g), rel=1e-12, abs=0.0)
+
+
+def test_shift_weights_are_cached_read_only_and_symmetric():
+    for n in (2, 64, 1024, 4096, 1 << 14):
+        w = seminorm._shift_weights(n)
+        assert seminorm._shift_weights(n) is w
+        assert not w.flags.writeable
+        assert w.shape == (n,) and w[0] == 0.0
+        assert np.array_equal(w[1:], w[:0:-1])
+        assert np.all(w[1:] >= 0.0)
 
 
 def test_modulus_triangle():
@@ -225,6 +260,40 @@ def test_modulus_rejects_complex_functions_and_bad_deltas():
     for bad in ([0.5, math.nan], [0.0, 0.5], [], [[0.5]]):
         with pytest.raises(ValueError, match="delta"):
             lip_check(tri, ModulusSpec.power(0.5), bad)
+
+
+def _reduceat_modulus(f, deltas):
+    """The knot-window search with each window's extremes taken by
+    ``reduceat`` over the doubled knot values, no sparse table, plus the two
+    edge values f(t +- delta)."""
+    t, y = f.knots, f.values
+    n = t.size
+    t_ext = np.concatenate([t, t + TWO_PI])
+    y_ext = np.concatenate([y, y, y[:1]])  # hi + 1 <= 2n stays a valid index
+    lo = np.arange(1, n + 1)
+    out = []
+    for d in deltas:
+        hi = np.searchsorted(t_ext, t + d, side="right") - 1
+        bounds = np.stack([lo, hi + 1], axis=1).ravel()
+        top = np.maximum.reduceat(y_ext, bounds)[::2]
+        bottom = np.minimum.reduceat(y_ext, bounds)[::2]
+        full = hi >= lo
+        best = np.max(np.maximum(top - y, y - bottom)[full], initial=0.0)
+        up = np.max(np.abs(f(reduce_angle(t + d)) - y))
+        down = np.max(np.abs(f(reduce_angle(t - d)) - y))
+        out.append(max(best, up, down))
+    return np.array(out)
+
+
+def test_modulus_matches_window_reductions_on_the_construction():
+    # 2,047 knots: 11 table levels, and windows that run past the last knot
+    omega = ModulusSpec.power(1.0 / 3.0)
+    seq = build_delta_sequence(omega, 5)
+    sys_ = place_intervals(seq, seq.deltas.size)
+    deltas = default_delta_grid()
+    for f in (build_u(sys_), build_v(sys_)):
+        assert f.knots.size == 2047
+        assert np.array_equal(modulus_of_continuity(f, deltas), _reduceat_modulus(f, deltas))
 
 
 def test_lip_check_builds_each_sparse_table_once(monkeypatch):
