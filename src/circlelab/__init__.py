@@ -46,6 +46,7 @@ from .stieltjes import (
     StieltjesReport,
     duality_check,
     fourier_pairing,
+    pairing_closed_form,
     pairing_report,
     rs_integral,
 )

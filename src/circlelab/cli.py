@@ -83,12 +83,13 @@ def _check_alpha(alpha: float, exploratory: bool) -> float:
 
 
 def _load_pl(path: str, which: str) -> PiecewiseLinearFunction:
+    """A bare PL function, or field ``which`` of a ``construct`` output."""
     payload = json.loads(_read_input(path))
-    if "knots" in payload:
-        return PiecewiseLinearFunction.from_dict(payload)
-    if which in payload:
-        return PiecewiseLinearFunction.from_dict(payload[which])
-    raise ValueError(f"no PL function {which!r} in {path}")
+    if isinstance(payload, dict) and "knots" not in payload:
+        if which not in payload:
+            raise ValueError(f"no PL function {which!r} in {path}")
+        payload = payload[which]
+    return PiecewiseLinearFunction.from_dict(payload)
 
 
 def _add_common(p):
@@ -218,7 +219,9 @@ def _run(args, cfg: dict) -> int:
 
     if args.command == "stieltjes":
         payload = json.loads(_read_input(args.system))
-        sys_ = TriangleSystem.from_dict(payload["system"] if "system" in payload else payload)
+        if isinstance(payload, dict) and "system" in payload:
+            payload = payload["system"]
+        sys_ = TriangleSystem.from_dict(payload)
         report = pairing_report(sys_, args.n)
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
         if args.out:

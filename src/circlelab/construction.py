@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, PiecewiseLinearFunction, _readonly
+from .core import TWO_PI, PiecewiseLinearFunction, _fields, _readonly
 from .seminorm import ModulusSpec
 
 __all__ = [
@@ -233,15 +233,9 @@ class TriangleSystem:
 
     @staticmethod
     def from_dict(d: dict) -> "TriangleSystem":
-        a = np.asarray(d["a"], dtype=float)
-        delta = np.asarray(d["delta"], dtype=float)
-        return TriangleSystem(
-            a=a,
-            b=a + 6.0 * delta,
-            center=a + 3.0 * delta,
-            delta=delta,
-            weight=np.asarray(d["w"], dtype=float),
-        )
+        fields = _fields(d, "triangle system", ("a", "delta", "w"))
+        a, delta, w = (np.asarray(x, dtype=float) for x in fields)
+        return TriangleSystem(a=a, b=a + 6.0 * delta, center=a + 3.0 * delta, delta=delta, weight=w)
 
 
 def place_intervals(seq: DeltaSequence, count: int) -> TriangleSystem:

@@ -65,6 +65,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _fields(d, kind: str, names) -> list:
+    """The named fields of a JSON payload; one that is not an object or
+    lacks a field is rejected with a ``ValueError`` naming what is missing."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {type(d).__name__}")
+    missing = [name for name in names if name not in d]
+    if missing:
+        raise ValueError(f"{kind} is missing field(s) {', '.join(map(repr, missing))}")
+    return [d[name] for name in names]
+
+
 @dataclass(frozen=True)
 class CircleInterval:
     """Closed arc [a, b] with 0 <= a < b <= 2*pi."""
@@ -170,9 +181,9 @@ class PiecewiseLinearFunction:
 
     @staticmethod
     def from_dict(d: dict) -> "PiecewiseLinearFunction":
-        knots = np.asarray(d["knots"], dtype=float)
-        values = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        return PiecewiseLinearFunction(knots, values)
+        knots, re, im = _fields(d, "PL function", ("knots", "re", "im"))
+        values = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        return PiecewiseLinearFunction(np.asarray(knots, dtype=float), values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,13 +4,14 @@
 freshly built construction and reports one pass/fail line per suite.
 
 ``run_obstruction`` realizes the obstruction numerically: for a growing
-number of blocks it computes the exact pairing lower bounds
+number of blocks it computes the pairing lower bounds
 
-    (1/2*pi) |int v du_n|  for n on the grid  { ceil(3/w_k) },
+    (1/2*pi) int v du_n  for n on the grid  { ceil(3/w_k) },
 
-then plays the adversary, searching over piecewise-linear circle
-homeomorphisms h (softmax increment parametrization, Nelder-Mead with
-restarts) to minimize
+in closed form, one term per tent (``pairing_closed_form``; the exact PL
+pairing cross-checks it in the pairing suite), then plays the adversary,
+searching over piecewise-linear circle homeomorphisms h (softmax
+increment parametrization, Nelder-Mead with restarts) to minimize
 
     max_n  ||v o h|| * ||u_n o h||        (spectral seminorms, s = 1/2).
 
@@ -57,6 +58,7 @@ from .seminorm import (
     pl_seminorm,
     sobolev_integral,
     sobolev_spectral,
+    _trig_integral,
 )
 from .construction import (
     TriangleSystem,
@@ -66,7 +68,15 @@ from .construction import (
     place_intervals,
     truncate_un,
 )
-from .stieltjes import StieltjesReport, duality_check, fourier_pairing, pairing_report, rs_integral
+from .stieltjes import (
+    StieltjesReport,
+    _floor_terms,
+    duality_check,
+    fourier_pairing,
+    pairing_closed_form,
+    pairing_report,
+    rs_integral,
+)
 from .homeo import PLHomeomorphism, from_increments, random_homeomorphism, superpose
 
 __all__ = [
@@ -281,7 +291,8 @@ def check_truncation(sys: TriangleSystem, u, seed: int, pairs: int = 2000) -> Su
 
 
 def check_pairing(sys: TriangleSystem, u, v, tol: float = 1e-12) -> SuiteResult:
-    """Per-tent certified floors and nonnegativity at every truncation level."""
+    """Per-tent certified floors and nonnegativity at every truncation level,
+    and the exact PL pairing against its closed form."""
     if sys.count == 0:
         warnings.warn("empty construction: pairing checks are vacuous", stacklevel=2)
         return SuiteResult("pairing-lower-bound", True, "vacuous (no intervals)")
@@ -311,6 +322,12 @@ def check_pairing(sys: TriangleSystem, u, v, tol: float = 1e-12) -> SuiteResult:
         if abs(rep.value - float(np.sum(rep.per_interval))) > 1e-10 * max(1.0, abs(rep.value)):
             return SuiteResult(
                 "pairing-lower-bound", False, f"mass outside the left halves at n={n}"
+            )
+        closed = pairing_closed_form(sys, n)
+        if abs(rep.value / TWO_PI - closed) > tol * closed:
+            return SuiteResult(
+                "pairing-lower-bound", False, f"pairing differs from its closed form at n={n}",
+                f"value/2pi={rep.value / TWO_PI}, closed form={closed}",
             )
     return SuiteResult(
         "pairing-lower-bound", True, f"{sys.count} tents, n in {n_values}: floors and totals ok"
@@ -452,12 +469,25 @@ def check_seminorm_sanity(seed: int, n: int = 1 << 12) -> SuiteResult:
 def check_equivalence(
     k_count: int, n: int, seeds=(42, 1042), draws: int = 100, oracle_tol: float = 0.01
 ) -> SuiteResult:
-    """Harmonic ratios against the quadrature oracle plus random-family spread."""
+    """Harmonic ratios against the quadrature oracle plus random-family
+    spread, the integral form read from each spectrum; four functions also
+    take the sample path (synthesize, then ``sobolev_integral``)."""
+    families = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        families.append([_random_trig_poly(rng, 64) for _ in range(draws)])
+    for c in [harmonic(1), harmonic(k_count)] + [polys[0] for polys in families]:
+        direct = _trig_integral(c, n)
+        sampled = sobolev_integral(synthesize(c, n))
+        if abs(sampled - direct) > 1e-12 * direct:
+            return SuiteResult(
+                "equivalence", False,
+                f"spectrum and sample paths differ by {abs(sampled - direct) / direct:.3e} relative",
+                f"max_freq={c.max_freq}, spectrum={direct}, samples={sampled}",
+            )
     # ||e^{ikt}||_{1/2} = sqrt(k): one ratio per harmonic serves the
     # bracket and the oracle deviation
-    ratios = np.array(
-        [sobolev_integral(synthesize(harmonic(k), n)) / math.sqrt(k) for k in range(1, k_count + 1)]
-    )
+    ratios = np.array([_trig_integral(harmonic(k), n) / math.sqrt(k) for k in range(1, k_count + 1)])
     est = EquivalenceEstimate(float(np.min(ratios)), float(np.max(ratios)), k_count)
     if est.spread >= 4.0:
         return SuiteResult("equivalence", False, f"harmonic spread {est.spread:.3f} >= 4")
@@ -469,11 +499,7 @@ def check_equivalence(
         return SuiteResult(
             "equivalence", False, f"harmonic ratio deviates {worst_rel:.3%} from the quadrature oracle"
         )
-    spreads = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        polys = [_random_trig_poly(rng, 64) for _ in range(draws)]
-        spreads.append(equivalence_scan(polys, n).spread)
+    spreads = [equivalence_scan(polys, n).spread for polys in families]
     if any(s >= 10.0 for s in spreads):
         return SuiteResult("equivalence", False, f"random-family spread {spreads} not < 10")
     return SuiteResult(
@@ -688,9 +714,8 @@ def run_obstruction(
         u = build_u(sys)
         v = build_v(sys)
         n_grid = sys.n_grid
-        reports = [pairing_report(sys, n, u=u, v=v) for n in n_grid]
-        lower_bounds = [abs(r.value) / TWO_PI for r in reports]
-        certified = [r.lower_bound / TWO_PI for r in reports]
+        lower_bounds = [pairing_closed_form(sys, n) for n in n_grid]
+        certified = [float(np.sum(_floor_terms(sys.weight, n))) / TWO_PI for n in n_grid]
         engine = _ProductObjective(u, v, n_grid, lower_bounds, grid_n, audit_tol)
         _, identity_products = engine.evaluate(np.zeros(knots))
         per_restart = budget // restarts

@@ -112,16 +112,23 @@ def pl_spectrum(f: PiecewiseLinearFunction, max_freq: int) -> SpectrumCoeffs:
     return SpectrumCoeffs(max_freq, out)
 
 
-def synthesize(c: SpectrumCoeffs, n: int) -> GridFunction:
-    """Samples of sum_k fhat(k) e^{ik t_j} on the uniform n-grid.
-
-    Requires n > 2*max_freq (power of two) so placement is collision-free.
-    """
+def _check_grid(c: SpectrumCoeffs, n: int) -> int:
+    """n as an int, once the n-grid is known to hold c without aliasing: a
+    power of two with n > 2*max_freq, so bins k mod n are distinct."""
     n = int(n)
     if n < 2 or n & (n - 1):
         raise ValueError(f"sample count must be a power of two >= 2, got {n}")
     if n <= 2 * c.max_freq:
         raise ValueError(f"need n > 2*max_freq, got n={n}, max_freq={c.max_freq}")
+    return n
+
+
+def synthesize(c: SpectrumCoeffs, n: int) -> GridFunction:
+    """Samples of sum_k fhat(k) e^{ik t_j} on the uniform n-grid.
+
+    Requires n > 2*max_freq (power of two) so placement is collision-free.
+    """
+    n = _check_grid(c, n)
     full = np.zeros(n, dtype=complex)
     full[c.k_values % n] = c.coeffs
     return GridFunction(n, np.fft.ifft(full) * n)

@@ -16,7 +16,10 @@ integral by the midpoint rule over the cells centred at theta_m, m >= 1
 theta_m is (2/N^2) sum_k |G_k|^2 (1 - cos(2*pi*k*m/N)) in the unnormalized
 DFT G of the samples, so the whole double sum is a fixed quadratic form
 sum_k W_k |G_k|^2: one FFT of the samples against weights W built once per
-N.  This is algebraically identical to the double loop.
+N.  This is algebraically identical to the double loop.  The samples of a
+trigonometric polynomial with N > 2*max_freq have G_k = N fhat(k) in bin
+k mod N, so the equivalence scan reads |G_k|^2 from the coefficients and
+never samples or transforms.
 
 For PL functions ``pl_seminorm`` gives the order-1/2 spectral form exactly.
 
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, GridFunction, PiecewiseLinearFunction, _readonly, reduce_angle
-from .fourier import SpectrumCoeffs
+from .fourier import SpectrumCoeffs, _check_grid
 
 __all__ = [
     "ModulusSpec",
@@ -211,6 +214,15 @@ def sobolev_integral(g: GridFunction) -> float:
     return math.sqrt(float((big.real**2 + big.imag**2) @ _shift_weights(g.n_samples)))
 
 
+def _trig_integral(c: SpectrumCoeffs, n: int) -> float:
+    """``sobolev_integral(synthesize(c, n))`` without the samples: their DFT
+    is n * fhat(k) in bin k mod n, so the quadratic form is
+    n^2 sum_k W_{k mod n} |fhat(k)|^2.  Same input checks as ``synthesize``."""
+    n = _check_grid(c, n)
+    power = c.coeffs.real**2 + c.coeffs.imag**2
+    return n * math.sqrt(float(power @ _shift_weights(n)[c.k_values % n]))
+
+
 def _sparse_tables(a: np.ndarray, op) -> np.ndarray:
     """Row l holds op over the windows a[i : i + 2^l], i <= a.size - 2^l (the
     range-extremum sparse table of Bender & Farach-Colton, LATIN 2000); the
@@ -320,9 +332,8 @@ def lip_check(f: PiecewiseLinearFunction, omega: ModulusSpec, delta_grid=None) -
 
 def equivalence_scan(test_set, n: int) -> EquivalenceEstimate:
     """Bracket the ratio sobolev_integral / sobolev_spectral over a family
-    of bandlimited test functions synthesized on an n-grid."""
-    from .fourier import synthesize
-
+    of bandlimited test functions sampled on an n-grid, the integral form
+    read from each spectrum (``_trig_integral``)."""
     specs = list(test_set)
     if not specs:
         raise ValueError("empty test set")
@@ -331,8 +342,7 @@ def equivalence_scan(test_set, n: int) -> EquivalenceEstimate:
         denom = sobolev_spectral(c, 0.5)
         if denom == 0.0:
             raise ValueError("degenerate (constant) test function in equivalence scan")
-        g = synthesize(c, n)
-        ratios.append(sobolev_integral(g) / denom)
+        ratios.append(_trig_integral(c, n) / denom)
     ratios = np.asarray(ratios)
     return EquivalenceEstimate(float(np.min(ratios)), float(np.max(ratios)), len(specs))
 

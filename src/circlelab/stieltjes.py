@@ -12,6 +12,7 @@ inequalities checked here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "rs_integral",
     "fourier_pairing",
     "pairing_report",
+    "pairing_closed_form",
     "duality_check",
 ]
 
@@ -142,7 +144,7 @@ def pairing_report(
         inside &= mids <= sys.center[sel]
         per = np.bincount(idx[inside], weights=pieces[inside], minlength=sys.count)
         active = sys.weight >= 3.0 / n
-        lb_terms = np.where(active, (2.0 / 9.0) * sys.weight**2, 0.0)
+        lb_terms = _floor_terms(sys.weight, n)
     else:
         per = np.zeros(0)
         active = np.zeros(0, dtype=bool)
@@ -156,6 +158,27 @@ def pairing_report(
         lb_terms=lb_terms,
         active=active,
     )
+
+
+def _floor_terms(weight: np.ndarray, n: int) -> np.ndarray:
+    """The certified floor (2/9) w^2 of each tent active at truncation n
+    (w >= 3/n), else 0."""
+    return np.where(weight >= 3.0 / n, (2.0 / 9.0) * weight**2, 0.0)
+
+
+def pairing_closed_form(sys: TriangleSystem, n: int) -> float:
+    """(1/2pi) int v du_n in closed form: (1/2pi) sum_k w_k^2 phi(1/(n w_k)).
+
+    On the left half of a tent u rises from 0 to w while v is a tent of
+    height w, and outside the tents u_n is the constant 1/n; so each tent
+    contributes w^2 phi(1/(n w)) whatever its width and position, with
+    phi(r) = 1/2 - r^2 for r <= 1/2, (1 - r)^2 for 1/2 <= r <= 1 and 0
+    beyond.  Summed by ``math.fsum``; ``pairing_report`` is the exact PL
+    cross-check.
+    """
+    r = 1.0 / (int(n) * sys.weight)
+    phi = np.where(r <= 0.5, 0.5 - r * r, np.where(r <= 1.0, (1.0 - r) ** 2, 0.0))
+    return math.fsum((sys.weight**2 * phi).tolist()) / TWO_PI
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,27 @@ def test_seminorm_rejects_a_file_without_the_field(tmp_path, capsys):
     assert "no PL function 'v'" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1.0], "triangle system must be a JSON object, got list"),
+        ({"a": [1.0]}, "triangle system is missing field(s) 'delta', 'w'"),
+    ],
+)
+def test_stieltjes_rejects_a_system_of_the_wrong_shape(tmp_path, capsys, payload, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(payload))
+    assert main(["stieltjes", "--system", str(path), "--n", "6"]) == 2
+    assert _one_error_line(capsys) == f"circlelab: error: {message}\n"
+
+
+def test_seminorm_rejects_a_pl_function_without_values(tmp_path, capsys):
+    path = tmp_path / "pl.json"
+    path.write_text(json.dumps({"knots": [0.1]}))
+    assert main(["seminorm", "--in", str(path)]) == 2
+    assert _one_error_line(capsys) == "circlelab: error: PL function is missing field(s) 're', 'im'\n"
+
+
 def test_exploratory_allows_half(tmp_path):
     out = tmp_path / "half.json"
     assert main(["construct", "--alpha", "0.5", "--blocks", "1", "--out", str(out), "--exploratory"]) == 0

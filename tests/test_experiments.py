@@ -7,6 +7,7 @@ import pytest
 
 from circlelab import (
     ModulusSpec,
+    PiecewiseLinearFunction,
     build_delta_sequence,
     build_u,
     build_v,
@@ -14,6 +15,7 @@ from circlelab import (
     pl_seminorm,
     place_intervals,
     sample,
+    sobolev_integral,
     superpose,
     truncate_un,
 )
@@ -50,6 +52,26 @@ def test_corrupted_build_is_caught():
     result = check_pairing(sys2, u, bad_v)
     assert not result.passed
     assert result.witness and "k=" in result.witness
+
+
+def test_pairing_suite_compares_the_value_with_its_closed_form():
+    # v scaled up by 1e-9 keeps every per-tent floor; only the closed form sees it
+    seq = build_delta_sequence(OMEGA, 3)
+    sys3 = place_intervals(seq, seq.deltas.size)
+    u, v = build_u(sys3), build_v(sys3)
+    assert check_pairing(sys3, u, v).passed
+    result = check_pairing(sys3, u, PiecewiseLinearFunction(v.knots, (1.0 + 1e-9) * v.values))
+    assert not result.passed
+    assert "closed form" in result.detail
+
+
+def test_equivalence_suite_spot_checks_the_sample_path(monkeypatch):
+    assert experiments.check_equivalence(8, 1 << 12, draws=10).passed
+    scaled = lambda g: (1.0 + 1e-9) * sobolev_integral(g)
+    monkeypatch.setattr(experiments, "sobolev_integral", scaled)
+    result = experiments.check_equivalence(8, 1 << 12, draws=10)
+    assert not result.passed
+    assert "sample paths differ" in result.detail
 
 
 def test_empty_construction_is_vacuous_with_warning():

@@ -371,6 +371,28 @@ def test_equivalence_rejects_degenerate():
         equivalence_scan([c], 64)
 
 
+def test_trig_integral_matches_the_sample_path():
+    # |G_k|^2 = n^2 |fhat(k)|^2 read from the spectrum, up to max_freq = n/2 - 1
+    rng = np.random.default_rng(29)
+    for n in (1 << p for p in range(8, 15)):
+        for i in range(20):
+            d = n // 2 - 1 if i == 0 else int(rng.integers(1, n // 2))
+            coeffs = rng.normal(size=2 * d + 1) + 1j * rng.normal(size=2 * d + 1)
+            c = SpectrumCoeffs(d, coeffs / (1.0 + np.abs(np.arange(-d, d + 1))))
+            sampled = sobolev_integral(synthesize(c, n))
+            assert seminorm._trig_integral(c, n) == pytest.approx(sampled, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [64, 48, 96, 0])
+def test_equivalence_rejects_grids_that_cannot_hold_the_spectrum(n):
+    # harmonic 32 needs a power of two above 64
+    with pytest.raises(ValueError):
+        equivalence_scan([harmonic(1), harmonic(32)], n)
+    with pytest.raises(ValueError):
+        seminorm._trig_integral(harmonic(32), n)
+    assert equivalence_scan([harmonic(1), harmonic(32)], 128).sample_count == 2
+
+
 def test_equivalence_random_stability():
     from circlelab.experiments import _random_trig_poly
 

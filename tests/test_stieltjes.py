@@ -15,6 +15,7 @@ from circlelab import (
     duality_check,
     fourier_pairing,
     harmonic,
+    pairing_closed_form,
     pairing_report,
     pl_spectrum,
     place_intervals,
@@ -224,3 +225,15 @@ def test_pairing_value_matches_rs_integral(blocks):
         for vv in (v, shifted_v):
             rep = pairing_report(sys_, n, u=u, v=vv)
             assert abs(rep.value - rs_integral(vv, un)) <= 1e-13
+
+
+def test_closed_form_matches_the_exact_pairing():
+    # one term w^2 phi(1/(n w)) per tent against the exact PL pairing, J = 1..7
+    omega = ModulusSpec.power(1.0 / 3.0)
+    for blocks in range(1, 8):
+        seq = build_delta_sequence(omega, blocks)
+        sys_ = place_intervals(seq, seq.deltas.size)
+        u, v = build_u(sys_), build_v(sys_)
+        for n in sys_.n_grid:
+            exact = pairing_report(sys_, n, u=u, v=v).value / TWO_PI
+            assert pairing_closed_form(sys_, n) == pytest.approx(exact, rel=1e-14, abs=0.0)
