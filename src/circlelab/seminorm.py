@@ -237,6 +237,35 @@ def _sparse_tables(a: np.ndarray, op) -> np.ndarray:
     return table
 
 
+def _window_spread(t_ext: np.ndarray, y: np.ndarray, d: float, tmax, tmin) -> float:
+    """max |y_j - y_i| over knots i and the knots j within delta after i.
+
+    Knot i's window is [i + 1, hi] in the indices of two periods (knots
+    ``t_ext``); one that runs past the last knot is split into [i + 1, n - 1]
+    and [0, hi - n].  Each part is read from the max and min sparse tables
+    as two overlapping blocks of length 2^level.  A function of its own so
+    that the per-delta index arrays are freed before the gathers.
+    """
+    n = y.size
+    lo = np.arange(1, n + 1)
+    hi = np.searchsorted(t_ext, t_ext[:n] + d, side="right") - 1
+    head = lo <= np.minimum(hi, n - 1)
+    tail = hi >= n
+    start = np.concatenate([lo[head], np.zeros(np.count_nonzero(tail), dtype=lo.dtype)])
+    end = np.concatenate([np.minimum(hi[head], n - 1), hi[tail] - n])
+    if not start.size:
+        return 0.0
+    yi = np.concatenate([y[head], y[tail]])
+    del lo, hi, head, tail
+    level = np.frexp(end - start + 1)[1].astype(np.intp) - 1
+    # flat indices into the (levels x n) tables
+    cells = np.stack([start, end - (1 << level) + 1]) + level * n
+    del start, end, level
+    top = np.max(tmax.take(cells), axis=0)
+    bottom = np.min(tmin.take(cells), axis=0)
+    return float(np.max(np.maximum(top - yi, yi - bottom)))
+
+
 def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
     """sup |f(t1) - f(t2)| over circle distance |t1 - t2| <= delta, for a
     real PL function f and one delta (a float back) or an array of them.
@@ -263,35 +292,17 @@ def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
         t_ext = np.concatenate([t, t + TWO_PI])
         tmax = _sparse_tables(y, np.maximum)
         tmin = _sparse_tables(y, np.minimum)
-        lo = np.arange(1, n + 1)
         for i, d in enumerate(deltas.ravel()):
             if d == 0.0:
                 continue
             if d >= math.pi:
                 moduli[i] = np.max(y) - np.min(y)
                 continue
-            # window [lo, hi] of the knots within delta after each knot, in
-            # the indices of two periods
-            hi = np.searchsorted(t_ext, t + d, side="right") - 1
-            head_hi = np.minimum(hi, n - 1)
-            tail_lo = np.maximum(lo, n) - n
-            head = lo <= head_hi
-            tail = tail_lo <= hi - n
-            start = np.concatenate([lo[head], tail_lo[tail]])
-            end = np.concatenate([head_hi[head], hi[tail] - n])
-            best = 0.0
-            if start.size:
-                yi = np.concatenate([y[head], y[tail]])
-                # the two overlapping blocks of length 2^level, as flat
-                # indices into the (levels x n) tables
-                level = np.frexp(end - start + 1)[1].astype(np.intp) - 1
-                cells = np.stack([start, end - (1 << level) + 1]) + level * n
-                top = np.max(tmax.take(cells), axis=0)
-                bottom = np.min(tmin.take(cells), axis=0)
-                best = float(np.max(np.maximum(top - yi, yi - bottom)))
-            up = np.abs(f(reduce_angle(t + d)) - y)
-            down = np.abs(f(reduce_angle(t - d)) - y)
-            moduli[i] = max(best, float(np.max(up)), float(np.max(down)))
+            moduli[i] = max(
+                _window_spread(t_ext, y, d, tmax, tmin),
+                float(np.max(np.abs(f(reduce_angle(t + d)) - y))),
+                float(np.max(np.abs(f(reduce_angle(t - d)) - y))),
+            )
     return float(moduli[0]) if deltas.ndim == 0 else moduli.reshape(deltas.shape)
 
 
