@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, PiecewiseLinearFunction, _fields, _readonly
+from .core import TWO_PI, PiecewiseLinearFunction, _float_fields, _readonly
 from .seminorm import ModulusSpec
 
 __all__ = [
@@ -233,8 +233,7 @@ class TriangleSystem:
 
     @staticmethod
     def from_dict(d: dict) -> "TriangleSystem":
-        fields = _fields(d, "triangle system", ("a", "delta", "w"))
-        a, delta, w = (np.asarray(x, dtype=float) for x in fields)
+        a, delta, w = _float_fields(d, "triangle system", ("a", "delta", "w"))
         return TriangleSystem(a=a, b=a + 6.0 * delta, center=a + 3.0 * delta, delta=delta, weight=w)
 
 

@@ -65,15 +65,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fields(d, kind: str, names) -> list:
-    """The named fields of a JSON payload; one that is not an object or
-    lacks a field is rejected with a ``ValueError`` naming what is missing."""
+def _float_fields(d, kind: str, names) -> list:
+    """The named fields of a JSON payload as float arrays.  A payload that is
+    not an object, lacks a field or holds a field that is not numeric is
+    rejected with a ``ValueError`` naming the field."""
     if not isinstance(d, dict):
         raise ValueError(f"{kind} must be a JSON object, got {type(d).__name__}")
     missing = [name for name in names if name not in d]
     if missing:
         raise ValueError(f"{kind} is missing field(s) {', '.join(map(repr, missing))}")
-    return [d[name] for name in names]
+    out = []
+    for name in names:
+        try:
+            out.append(np.asarray(d[name], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{kind} field {name!r} is not numeric: {exc}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,9 +188,8 @@ class PiecewiseLinearFunction:
 
     @staticmethod
     def from_dict(d: dict) -> "PiecewiseLinearFunction":
-        knots, re, im = _fields(d, "PL function", ("knots", "re", "im"))
-        values = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-        return PiecewiseLinearFunction(np.asarray(knots, dtype=float), values)
+        knots, re, im = _float_fields(d, "PL function", ("knots", "re", "im"))
+        return PiecewiseLinearFunction(knots, re + 1j * im)
 
 
 @dataclass(frozen=True, eq=False)

@@ -176,7 +176,10 @@ def pairing_closed_form(sys: TriangleSystem, n: int) -> float:
     beyond.  Summed by ``math.fsum``; ``pairing_report`` is the exact PL
     cross-check.
     """
-    r = 1.0 / (int(n) * sys.weight)
+    n = int(n)
+    if n < 1:
+        raise ValueError("truncation index must be a positive integer")
+    r = 1.0 / (n * sys.weight)
     phi = np.where(r <= 0.5, 0.5 - r * r, np.where(r <= 1.0, (1.0 - r) ** 2, 0.0))
     return math.fsum((sys.weight**2 * phi).tolist()) / TWO_PI
 

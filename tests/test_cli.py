@@ -101,11 +101,18 @@ def test_stieltjes_rejects_a_system_of_the_wrong_shape(tmp_path, capsys, payload
     assert _one_error_line(capsys) == f"circlelab: error: {message}\n"
 
 
-def test_seminorm_rejects_a_pl_function_without_values(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"knots": [0.1]}, "PL function is missing field(s) 're', 'im'"),
+        ({"knots": {"a": 1}, "re": [1.0], "im": [0.0]}, "PL function field 'knots' is not numeric"),
+    ],
+)
+def test_seminorm_rejects_a_pl_function_of_the_wrong_shape(tmp_path, capsys, payload, message):
     path = tmp_path / "pl.json"
-    path.write_text(json.dumps({"knots": [0.1]}))
+    path.write_text(json.dumps(payload))
     assert main(["seminorm", "--in", str(path)]) == 2
-    assert _one_error_line(capsys) == "circlelab: error: PL function is missing field(s) 're', 'im'\n"
+    assert _one_error_line(capsys).startswith(f"circlelab: error: {message}")
 
 
 def test_exploratory_allows_half(tmp_path):

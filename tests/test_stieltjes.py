@@ -237,3 +237,5 @@ def test_closed_form_matches_the_exact_pairing():
         for n in sys_.n_grid:
             exact = pairing_report(sys_, n, u=u, v=v).value / TWO_PI
             assert pairing_closed_form(sys_, n) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    with pytest.raises(ValueError):
+        pairing_closed_form(sys_, 0)
