@@ -194,6 +194,8 @@ class TriangleSystem:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
             object.__setattr__(self, name, _readonly(arr))
             if arr.size != self.a.size:
                 raise ValueError(f"{name} has {arr.size} entries, a has {self.a.size}")

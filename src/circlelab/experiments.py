@@ -97,6 +97,13 @@ SCOPE_NOTE = (
     "empirical upper bounds, lower bounds are exact"
 )
 
+# The obstruction's sampling grid, the half-width of the uniform draw of
+# each restart's initial increments, and the relative slack of the
+# lower-bound audit.
+GRID_N = 1 << 15
+ROUGHNESS = 0.3
+AUDIT_TOL = 1e-6
+
 
 # --------------------------------------------------------------------------
 # suite plumbing
@@ -624,24 +631,22 @@ class _ProductObjective:
     every evaluation is free.
     """
 
-    def __init__(self, u, v, n_grid, bounds, grid_n, audit_tol):
+    def __init__(self, u, v, n_grid, bounds):
         self.u = u
         self.v = v
         self.n_grid = list(n_grid)
         self.bounds = np.asarray(bounds, dtype=float)
-        self.grid_n = int(grid_n)
-        self.audit_tol = float(audit_tol)
-        self.t_grid = np.arange(self.grid_n) * (TWO_PI / self.grid_n)
+        self.t_grid = np.arange(GRID_N) * (TWO_PI / GRID_N)
         # the floor 1/n under each level's row, as a column against the block
         self._levels = np.array([1.0 / n for n in self.n_grid])[:, None]
         rows = 1 + len(self.n_grid)
-        self._block = np.empty((rows, self.grid_n))
-        self._spectra = np.empty((rows, self.grid_n // 2 + 1), dtype=complex)
+        self._block = np.empty((rows, GRID_N))
+        self._spectra = np.empty((rows, GRID_N // 2 + 1), dtype=complex)
         # weights on the interleaved (re, im) float view of frequencies
         # 0..N/2; the Nyquist bin is the one frequency N/2 of -N/2 < k <= N/2
-        k = np.arange(self.grid_n // 2 + 1, dtype=float)
+        k = np.arange(GRID_N // 2 + 1, dtype=float)
         k[-1] /= 2.0
-        self._weights = np.repeat(2.0 * k / float(self.grid_n) ** 2, 2)
+        self._weights = np.repeat(2.0 * k / float(GRID_N) ** 2, 2)
         self.evals = 0
         self.violations = 0
         self.best_objective = math.inf
@@ -661,7 +666,7 @@ class _ProductObjective:
         norms = np.sqrt(power @ self._weights)
         products = norms[0] * norms[1:]
         self.evals += 1
-        if np.any(products * (1.0 + self.audit_tol) < self.bounds):
+        if np.any(products * (1.0 + AUDIT_TOL) < self.bounds):
             self.violations += 1
         objective = float(np.max(products))
         if objective < self.best_objective:
@@ -681,9 +686,6 @@ def run_obstruction(
     budget: int = 2000,
     seed: int = 7,
     restarts: int = 4,
-    grid_n: int = 1 << 15,
-    roughness: float = 0.3,
-    audit_tol: float = 1e-6,
     strict: bool = True,
 ) -> list:
     """Adversarial search per block count (see module docstring).
@@ -692,20 +694,13 @@ def run_obstruction(
     so records do not depend on execution order and identical inputs give
     identical records.
     """
-    grid_n, restarts = int(grid_n), int(restarts)
-    knots, budget = int(knots), int(budget)
-    roughness, audit_tol = float(roughness), float(audit_tol)
+    knots, budget, restarts = int(knots), int(budget), int(restarts)
     if knots < 2:
         raise ValueError(f"knots must be at least 2, got {knots}")
-    if grid_n < 4 or grid_n & (grid_n - 1):
-        raise ValueError(f"grid_n must be a power of two at least 4, got {grid_n}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if budget < restarts:
         raise ValueError(f"budget must be at least restarts = {restarts}, got {budget}")
-    for name, value in (("audit_tol", audit_tol), ("roughness", roughness)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     records = []
     for blocks in block_counts:
         seq = build_delta_sequence(omega, int(blocks), strict=strict)
@@ -716,12 +711,12 @@ def run_obstruction(
         n_grid = sys.n_grid
         lower_bounds = [pairing_closed_form(sys, n) for n in n_grid]
         certified = [float(np.sum(_floor_terms(sys.weight, n))) / TWO_PI for n in n_grid]
-        engine = _ProductObjective(u, v, n_grid, lower_bounds, grid_n, audit_tol)
+        engine = _ProductObjective(u, v, n_grid, lower_bounds)
         _, identity_products = engine.evaluate(np.zeros(knots))
         per_restart = budget // restarts
         for r in range(restarts):
             rng = np.random.default_rng([int(seed), int(blocks), r])
-            x0 = rng.uniform(-roughness, roughness, knots)
+            x0 = rng.uniform(-ROUGHNESS, ROUGHNESS, knots)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 minimize(

@@ -24,9 +24,9 @@ never samples or transforms.
 For PL functions ``pl_seminorm`` gives the order-1/2 spectral form exactly.
 
 Also here: moduli of continuity of real PL functions (one exact sweep over
-a whole delta grid, the range-extremum sparse tables of the knot values
-over one period built once per function, a window that runs past the
-last knot read as two), Lipschitz-class checks, and the empirical
+a whole delta grid, the range-extremum sparse tables of the knot-value
+ranks over two periods built once per function, so every window lies
+inside them), Lipschitz-class checks, and the empirical
 equivalence-constant scan between the two seminorm forms.
 """
 
@@ -237,33 +237,24 @@ def _sparse_tables(a: np.ndarray, op) -> np.ndarray:
     return table
 
 
-def _window_spread(t_ext: np.ndarray, y: np.ndarray, d: float, tmax, tmin) -> float:
+def _window_spread(t_ext: np.ndarray, y: np.ndarray, d: float, levels, tmax, tmin) -> float:
     """max |y_j - y_i| over knots i and the knots j within delta after i.
 
-    Knot i's window is [i + 1, hi] in the indices of two periods (knots
-    ``t_ext``); one that runs past the last knot is split into [i + 1, n - 1]
-    and [0, hi - n].  Each part is read from the max and min sparse tables
-    as two overlapping blocks of length 2^level.  A function of its own so
-    that the per-delta index arrays are freed before the gathers.
+    Knot i's window is [i, end) in the indices of two periods (knots
+    ``t_ext``); j = i adds 0 and keeps every window nonempty.  Each window
+    is read from the max and min sparse tables of the value ranks over two
+    periods as two overlapping blocks of length 2^level, and the extreme
+    ranks map back to values through ``levels``.
     """
     n = y.size
-    lo = np.arange(1, n + 1)
-    hi = np.searchsorted(t_ext, t_ext[:n] + d, side="right") - 1
-    head = lo <= np.minimum(hi, n - 1)
-    tail = hi >= n
-    start = np.concatenate([lo[head], np.zeros(np.count_nonzero(tail), dtype=lo.dtype)])
-    end = np.concatenate([np.minimum(hi[head], n - 1), hi[tail] - n])
-    if not start.size:
-        return 0.0
-    yi = np.concatenate([y[head], y[tail]])
-    del lo, hi, head, tail
-    level = np.frexp(end - start + 1)[1].astype(np.intp) - 1
-    # flat indices into the (levels x n) tables
-    cells = np.stack([start, end - (1 << level) + 1]) + level * n
-    del start, end, level
-    top = np.max(tmax.take(cells), axis=0)
-    bottom = np.min(tmin.take(cells), axis=0)
-    return float(np.max(np.maximum(top - yi, yi - bottom)))
+    end = np.searchsorted(t_ext, t_ext[:n] + d, side="right")
+    level = np.frexp(end - np.arange(n))[1].astype(np.intp) - 1
+    # flat indices into the (levels x 2n) tables
+    cells = np.stack([np.arange(n), end - (1 << level)])
+    cells += level * (2 * n)
+    top = levels[np.max(tmax.take(cells), axis=0)] - y
+    bottom = y - levels[np.min(tmin.take(cells), axis=0)]
+    return float(max(np.max(top), np.max(bottom)))
 
 
 def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
@@ -272,12 +263,12 @@ def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
 
     The supremum is attained with one point at a knot and the other at a
     knot or at distance exactly delta, so the search over that finite
-    candidate set is exact.  The max and min sparse tables of the knot
-    values over one period depend only on f and are built once; each delta
+    candidate set is exact.  The max and min sparse tables of the ranks of
+    the knot values over two periods depend only on f and are built once
+    (ranks are monotone in the values, and the smallest unsigned type that
+    holds them makes two periods cheaper than one of floats); each delta
     below pi then costs, per knot, the extremes over the knots within delta
-    after it (a window that runs past the last knot is split into its part
-    up to the last knot and its part from knot 0) and the two edge values
-    f(t +- delta).
+    after it and the two edge values f(t +- delta).
     """
     if not f.is_real:
         raise ValueError("moduli of continuity are defined here for real-valued functions only")
@@ -290,8 +281,10 @@ def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
     n = t.size
     if n > 1:
         t_ext = np.concatenate([t, t + TWO_PI])
-        tmax = _sparse_tables(y, np.maximum)
-        tmin = _sparse_tables(y, np.minimum)
+        levels, rank = np.unique(y, return_inverse=True)
+        rank = np.tile(rank.astype(np.min_scalar_type(levels.size - 1)), 2)
+        tmax = _sparse_tables(rank, np.maximum)
+        tmin = _sparse_tables(rank, np.minimum)
         for i, d in enumerate(deltas.ravel()):
             if d == 0.0:
                 continue
@@ -299,7 +292,7 @@ def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
                 moduli[i] = np.max(y) - np.min(y)
                 continue
             moduli[i] = max(
-                _window_spread(t_ext, y, d, tmax, tmin),
+                _window_spread(t_ext, y, d, levels, tmax, tmin),
                 float(np.max(np.abs(f(reduce_angle(t + d)) - y))),
                 float(np.max(np.abs(f(reduce_angle(t - d)) - y))),
             )

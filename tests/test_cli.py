@@ -210,3 +210,18 @@ def test_stieltjes_rejects_a_system_with_fields_of_different_lengths(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("circlelab: error: ") and err.count("\n") == 1
     assert "delta has 1 entries, a has 2" in err
+
+
+@pytest.mark.parametrize(
+    "text, field, value",
+    [
+        ('{"a": [1.0], "delta": [0.01], "w": [null]}', "weight", "nan"),
+        ('{"a": [1.0], "delta": [null], "w": [0.5]}', "delta", "nan"),
+        ('{"a": [1e400], "delta": [0.01], "w": [0.5]}', "a", "inf"),
+    ],
+)
+def test_stieltjes_rejects_a_system_with_a_non_finite_entry(tmp_path, capsys, text, field, value):
+    system = tmp_path / "system.json"
+    system.write_text(text)
+    assert main(["stieltjes", "--system", str(system), "--n", "6"]) == 2
+    assert _one_error_line(capsys) == f"circlelab: error: {field} must be finite, got {value}\n"

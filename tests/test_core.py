@@ -49,7 +49,7 @@ ARRAY_HOLDERS = {
     "TriangleSystem": _system,
     "StieltjesReport": lambda: pairing_report(_system(), 6),
     "LipReport": lambda: lip_check(TENT, ModulusSpec.power(0.5)),
-    "ObstructionRecord": lambda: run_obstruction(OMEGA, [1], knots=4, budget=4, restarts=1, grid_n=1 << 10)[0],
+    "ObstructionRecord": lambda: run_obstruction(OMEGA, [1], knots=4, budget=4, restarts=1)[0],
 }
 
 

@@ -105,7 +105,7 @@ def test_lacunary_fixture_bounds():
 
 
 def smoke_records():
-    return run_obstruction(OMEGA, [1, 2], knots=8, budget=60, seed=3, grid_n=1 << 12)
+    return run_obstruction(OMEGA, [1, 2], knots=8, budget=60, seed=3)
 
 
 def test_obstruction_smoke_invariants():
@@ -173,30 +173,17 @@ def test_emit_rejects_unknown_format(tmp_path):
 
 
 def test_exploratory_sqrt_modulus_runs():
-    records = run_obstruction(
-        ModulusSpec.power(0.5), [1], knots=8, budget=40, seed=3,
-        grid_n=1 << 12, strict=False,
-    )
+    records = run_obstruction(ModulusSpec.power(0.5), [1], knots=8, budget=40, seed=3, strict=False)
     assert records[0].violations == 0
 
 
 @pytest.mark.parametrize(
     "kwargs, name",
     [
-        ({"grid_n": 3}, "grid_n"),
-        ({"grid_n": 6}, "grid_n"),
-        ({"grid_n": 0}, "grid_n"),
         ({"restarts": 0}, "restarts"),
         ({"knots": 1}, "knots"),
         ({"budget": 3}, "budget"),
         ({"budget": 0}, "budget"),
-        ({"audit_tol": math.nan}, "audit_tol"),
-        ({"audit_tol": math.inf}, "audit_tol"),
-        ({"audit_tol": -3.0}, "audit_tol"),
-        ({"roughness": math.nan}, "roughness"),
-        ({"roughness": math.inf}, "roughness"),
-        ({"roughness": -1.0}, "roughness"),
-        ({"grid_n": 2}, "grid_n"),
     ],
 )
 def test_run_obstruction_rejects_bad_inputs(kwargs, name, monkeypatch):
@@ -206,12 +193,12 @@ def test_run_obstruction_rejects_bad_inputs(kwargs, name, monkeypatch):
         run_obstruction(OMEGA, [1], **{"knots": 4, "budget": 4, **kwargs})
 
 
-def _objective(blocks, grid_n=1 << 15):  # run_obstruction's default grid
+def _objective(blocks):
     seq = build_delta_sequence(OMEGA, blocks)
     sys_ = place_intervals(seq, seq.deltas.size)
     u, v = build_u(sys_), build_v(sys_)
     n_grid = sorted({math.ceil(3.0 / w) for w in sys_.weight.tolist()})
-    return _ProductObjective(u, v, n_grid, np.zeros(len(n_grid)), grid_n, 1e-6)
+    return _ProductObjective(u, v, n_grid, np.zeros(len(n_grid)))
 
 
 def _reference_seminorm(f, grid_n):
@@ -225,7 +212,7 @@ def _reference_seminorm(f, grid_n):
 @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5, 6])
 def test_objective_matches_truncated_pl_path(blocks):
     engine = _objective(blocks)
-    n = engine.grid_n
+    n = experiments.GRID_N
     for seed in range(3):
         raw = np.random.default_rng([seed, blocks]).uniform(-0.3, 0.3, 32)
         _, products = engine.evaluate(raw)
@@ -251,7 +238,7 @@ def test_objective_products_lie_near_the_exact_ones():
 
 
 def test_later_evaluations_leave_earlier_results_alone():
-    engine = _objective(3, grid_n=1 << 12)
+    engine = _objective(3)
     _, first = engine.evaluate(np.zeros(8))
     first_copy, best, best_copy = first.copy(), engine.best_products, engine.best_products.copy()
     rng = np.random.default_rng(5)

@@ -240,7 +240,9 @@ def test_modulus_matches_brute_force_enumeration():
     knots = np.array([0.0, 0.3, 0.6, 2.0, 4.0, 5.6, 5.9, 6.2])
     values = np.concatenate([rng.uniform(-1.0, 1.0, 2), np.zeros(4), rng.uniform(-1.0, 1.0, 2)])
     functions.append(PiecewiseLinearFunction(knots, values))
-    deltas = np.array([1e-4, 0.3, 1.0, 2.5, math.pi - 1e-9, math.pi, TWO_PI])
+    # 300 distinct values: ranks past 255 need two bytes
+    functions.append(PiecewiseLinearFunction(np.sort(rng.uniform(0.0, TWO_PI, 300)), rng.normal(size=300)))
+    deltas =np.array([1e-4, 0.3, 1.0, 2.5, math.pi - 1e-9, math.pi, TWO_PI])
     for f in functions:
         expected = np.array([_brute_force_modulus(f, d) for d in deltas])
         assert np.array_equal(modulus_of_continuity(f, deltas), expected)
