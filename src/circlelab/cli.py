@@ -19,8 +19,7 @@ from .core import PiecewiseLinearFunction, sample
 from .fourier import pl_spectrum
 from .seminorm import ModulusSpec, pl_seminorm, sobolev_integral, sobolev_spectral
 from .construction import TriangleSystem, build_delta_sequence, build_f, build_u, build_v, place_intervals
-from .stieltjes import pairing_report
-from .experiments import VerifyConfig, emit, lacunary_fixture, run_obstruction, verify_all, write_pairing_csv
+from .stieltjes import pairing_report, write_pairing_csv
 
 _THIRD = 1.0 / 3.0
 
@@ -169,6 +168,7 @@ def main(argv=None) -> int:
 
 def _run(args, cfg: dict) -> int:
     if args.command == "verify":
+        from .experiments import VerifyConfig, verify_all
         config = VerifyConfig(
             alpha=_resolve(args, cfg, "alpha", _THIRD, float),
             blocks=_resolve(args, cfg, "blocks", 4, int),
@@ -233,6 +233,7 @@ def _run(args, cfg: dict) -> int:
         return 0 if ok else 1
 
     if args.command == "obstruct":
+        from .experiments import emit, run_obstruction
         alpha = _check_alpha(_resolve(args, cfg, "alpha", _THIRD, float), args.exploratory)
         blocks_raw = _resolve(args, cfg, "blocks", "1,2,3", str)
         block_counts = [int(tok) for tok in str(blocks_raw).split(",") if tok.strip()]
@@ -257,6 +258,7 @@ def _run(args, cfg: dict) -> int:
         return 0 if violations == 0 else 1
 
     if args.command == "lacunary":
+        from .experiments import lacunary_fixture
         terms = _resolve(args, cfg, "terms", 9, int)
         report = lacunary_fixture(terms)
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -9,9 +9,11 @@ repeated n_j times where
 
     1/(2^(j+1) eps_j) <= n_j < 1/(2^j eps_j).
 
-Flattening the blocks gives widths delta_k with sum_k delta_k <= 1 while
-every block contributes at least 1/2 to sum_k omega(delta_k)^2 -- small
-total width, divergent squared-weight sum.
+The sequence keeps one row (eps_j, n_j, omega(eps_j)) per block.  Its
+flattened widths delta_k (eps_j repeated n_j times) have sum_k delta_k =
+sum_j n_j eps_j <= 1 while every block contributes n_j omega(eps_j)^2 >= 1/2
+to sum_k omega(delta_k)^2 -- small total width, divergent squared-weight
+sum.  Only interval placement flattens, and it refuses more than 10^7 tents.
 
 On the circle, disjoint intervals I_k = [a_k, b_k] of length 6*delta_k are
 packed left to right with equal gaps.  With J_k the left half of I_k and
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,46 +52,47 @@ __all__ = [
 _MAX_FLATTENED = 10_000_000
 
 
-class ConstructionError(RuntimeError):
+class ConstructionError(ValueError):
     """Raised when no representable block sequence satisfies the constraints."""
 
 
 @dataclass(frozen=True, eq=False)
 class DeltaSequence:
-    """Block sequence (eps_j, n_j, N_j) flattened to widths delta_k.
+    """Block sequence: width ``epsilons[j]``, count ``block_sizes[j]`` and
+    weight ``weights[j]`` = omega(eps_j) for block j + 1, one row per block.
 
-    ``block_starts`` holds N_0 = 1, N_j = N_{j-1} + n_j; delta_k = eps_j for
-    N_{j-1} <= k < N_j.  ``omega_values`` carries omega(delta_k) so interval
-    placement does not need the modulus again.
+    The per-tent widths delta_k (eps_j repeated n_j times) are built only
+    on demand, by ``deltas`` and ``place_intervals``.
     """
 
     epsilons: np.ndarray
     block_sizes: np.ndarray
-    block_starts: np.ndarray
-    deltas: np.ndarray
-    omega_values: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        for name in ("epsilons", "deltas", "omega_values"):
+        for name in ("epsilons", "weights"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
-        for name in ("block_sizes", "block_starts"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=np.int64)))
+        object.__setattr__(self, "block_sizes", _readonly(np.asarray(self.block_sizes, dtype=np.int64)))
 
     @property
     def blocks(self) -> int:
         return self.epsilons.size
 
-    def block_slice(self, j: int) -> slice:
-        """0-based slice of the flattened arrays covered by block j (1-based)."""
-        if not (1 <= j <= self.blocks):
-            raise IndexError(f"block {j} out of range")
-        return slice(int(self.block_starts[j - 1]) - 1, int(self.block_starts[j]) - 1)
+    @property
+    def deltas(self) -> np.ndarray:
+        """The flattened widths delta_k."""
+        return self._per_tent(self.epsilons)
+
+    def _per_tent(self, per_block: np.ndarray) -> np.ndarray:
+        """``per_block[j]`` repeated n_j times, refused past _MAX_FLATTENED entries."""
+        for j, total in enumerate(accumulate(self.block_sizes.tolist()), start=1):
+            if total > _MAX_FLATTENED:
+                raise ConstructionError(f"flattened sequence exceeds {_MAX_FLATTENED} entries at block {j}")
+        return np.repeat(per_block, self.block_sizes)
 
     def block_weight_sums(self) -> np.ndarray:
-        """sum of omega(delta_k)^2 over each block."""
-        return np.array(
-            [float(np.sum(self.omega_values[self.block_slice(j)] ** 2)) for j in range(1, self.blocks + 1)]
-        )
+        """sum of omega(delta_k)^2 over each block: n_j * omega(eps_j)^2."""
+        return self.block_sizes * self.weights**2
 
 
 def _power_exponent(j: int, alpha: float) -> int:
@@ -152,25 +156,14 @@ def build_delta_sequence(omega: ModulusSpec, blocks: int, strict: bool = True) -
         n = math.ceil(1.0 / (2.0 ** (j + 1) * e))
         if not (n >= 1 and n < 1.0 / (2.0**j * e) * (1.0 + 1e-12)):
             raise ConstructionError(f"block {j}: no integer count in the bracket for width {e}")
+        if n > np.iinfo(np.int64).max:
+            raise ConstructionError(f"block {j}: count {n} does not fit a 64-bit integer")
         eps[j - 1] = e
         sizes[j - 1] = n
-        if np.sum(sizes[:j]) > _MAX_FLATTENED:
-            raise ConstructionError(
-                f"flattened sequence exceeds {_MAX_FLATTENED} entries at block {j}"
-            )
-    starts = np.concatenate([[1], 1 + np.cumsum(sizes)]).astype(np.int64)
-    deltas = np.repeat(eps, sizes)
-    total = float(np.sum(deltas))
+    total = float(np.sum(sizes * eps))
     if total > 1.0 + 1e-12:
         raise ConstructionError(f"total width {total} exceeds 1")
-    weights = np.asarray(omega(deltas), dtype=float)
-    return DeltaSequence(
-        epsilons=eps,
-        block_sizes=sizes,
-        block_starts=starts,
-        deltas=deltas,
-        omega_values=weights,
-    )
+    return DeltaSequence(epsilons=eps, block_sizes=sizes, weights=omega(eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +242,9 @@ def place_intervals(seq: DeltaSequence, count: int) -> TriangleSystem:
     count = int(count)
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count > seq.deltas.size:
-        raise ValueError(f"only {seq.deltas.size} widths available, asked for {count}")
     deltas = seq.deltas[:count]
+    if deltas.size < count:
+        raise ValueError(f"only {deltas.size} widths available, asked for {count}")
     occupied = 6.0 * float(np.sum(deltas))
     if occupied >= TWO_PI:
         raise ValueError(f"{count} tents occupy {occupied} >= 2*pi; reduce the count")
@@ -262,8 +255,8 @@ def place_intervals(seq: DeltaSequence, count: int) -> TriangleSystem:
         a=a,
         b=a + 6.0 * deltas,
         center=a + 3.0 * deltas,
-        delta=deltas.copy(),
-        weight=seq.omega_values[:count].copy(),
+        delta=deltas,
+        weight=seq._per_tent(seq.weights)[:count],
     )
 
 

@@ -69,7 +69,6 @@ from .construction import (
     truncate_un,
 )
 from .stieltjes import (
-    StieltjesReport,
     _floor_terms,
     duality_check,
     fourier_pairing,
@@ -89,7 +88,6 @@ __all__ = [
     "LacunaryReport",
     "lacunary_fixture",
     "emit",
-    "write_pairing_csv",
 ]
 
 SCOPE_NOTE = (
@@ -178,7 +176,7 @@ def check_delta_sequence(omega: ModulusSpec, block_counts, tol: float = 1e-12) -
         if np.any(sums < 0.5 - tol):
             j = int(np.argmin(sums)) + 1
             return SuiteResult("delta-sequence", False, f"block sum below 1/2 at block {j}", f"sum={sums[j-1]}")
-        total = float(np.sum(seq.deltas))
+        total = float(np.sum(seq.block_sizes * seq.epsilons))
         if total > 1.0 + tol:
             return SuiteResult("delta-sequence", False, f"total width {total} exceeds 1", f"blocks={blocks}")
     return SuiteResult(
@@ -835,15 +833,3 @@ def emit(records, fmt: str, outdir) -> list:
         for r in records:
             writer.writerow([r.blocks, r.tents, repr(r.sup_lower_bound), repr(r.best_objective), r.evals])
     return [path]
-
-
-def write_pairing_csv(report: StieltjesReport, path) -> Path:
-    """Write a pairing report's per-tent rows to ``path`` as CSV."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "w_k", "contribution", "lower_bound_term"])
-        for row in report.csv_rows():
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
-    return path

@@ -223,14 +223,14 @@ def _trig_integral(c: SpectrumCoeffs, n: int) -> float:
     return n * math.sqrt(float(power @ _shift_weights(n)[c.k_values % n]))
 
 
-def _sparse_tables(a: np.ndarray, op) -> np.ndarray:
-    """Row l holds op over the windows a[i : i + 2^l], i <= a.size - 2^l (the
-    range-extremum sparse table of Bender & Farach-Colton, LATIN 2000); the
-    rest of each row is never read."""
+def _sparse_tables(a: np.ndarray, op, longest: int) -> np.ndarray:
+    """Row l, for 2^l <= ``longest``, holds op over the windows a[i : i + 2^l],
+    i <= a.size - 2^l (the range-extremum sparse table of Bender &
+    Farach-Colton, LATIN 2000); the rest of each row is never read."""
     n = a.size
-    table = np.empty((n.bit_length(), n), dtype=a.dtype)
+    table = np.empty((longest.bit_length(), n), dtype=a.dtype)
     table[0] = a
-    for l in range(1, n.bit_length()):
+    for l in range(1, longest.bit_length()):
         half = 1 << (l - 1)
         width = n - (1 << l) + 1
         op(table[l - 1, :width], table[l - 1, half : half + width], out=table[l, :width])
@@ -283,8 +283,9 @@ def modulus_of_continuity(f: PiecewiseLinearFunction, delta):
         t_ext = np.concatenate([t, t + TWO_PI])
         levels, rank = np.unique(y, return_inverse=True)
         rank = np.tile(rank.astype(np.min_scalar_type(levels.size - 1)), 2)
-        tmax = _sparse_tables(rank, np.maximum)
-        tmin = _sparse_tables(rank, np.minimum)
+        # windows span less than pi, so at most the n knots of one period
+        tmax = _sparse_tables(rank, np.maximum, n)
+        tmin = _sparse_tables(rank, np.minimum, n)
         for i, d in enumerate(deltas.ravel()):
             if d == 0.0:
                 continue

@@ -7,13 +7,16 @@ On the merged knot set both functions are linear on every piece, so
     int x dy = sum_pieces (y_right - y_left) * (x_left + x_right) / 2
 
 is exact up to rounding -- no quadrature error enters the chain of
-inequalities checked here.
+inequalities checked here.  ``pairing_report`` merges every a_k and center_k
+too, so tent k's share is the sum of the pieces between those two knots.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "fourier_pairing",
     "pairing_report",
     "pairing_closed_form",
+    "write_pairing_csv",
     "duality_check",
 ]
 
@@ -109,6 +113,17 @@ class StieltjesReport:
             yield (i + 1, float(self.weights[i]), float(self.per_interval[i]), float(self.lb_terms[i]))
 
 
+def write_pairing_csv(report: StieltjesReport, path) -> Path:
+    """Write a pairing report's per-tent rows to ``path`` as CSV."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["k", "w_k", "contribution", "lower_bound_term"])
+        writer.writerows((k, repr(w), repr(c), repr(lb)) for k, w, c, lb in report.csv_rows())
+    return path
+
+
 def pairing_report(
     sys: TriangleSystem,
     n: int,
@@ -130,19 +145,19 @@ def pairing_report(
     un = truncate_un(u, n)
     t = np.unique(np.concatenate([v.knots, un.knots, sys.a, sys.center]))
     # piece i runs from t[i] to t[i + 1], the last one to the wrap knot t[0] + 2pi
+    # (built partly in place: one merged-length temporary at a time)
     va = v(t)
     ua = un(t)
-    pieces = 0.5 * (va + np.roll(va, -1)) * (np.roll(ua, -1) - ua)
+    pieces = np.roll(ua, -1) - ua
+    va += np.roll(va, -1)
+    pieces *= 0.5 * va
     value = float(np.sum(pieces))
 
     if sys.count:
-        t_ext = np.append(t, t[0] + TWO_PI)
-        mids = 0.5 * (t_ext[:-1] + t_ext[1:])
-        idx = np.searchsorted(sys.a, mids, side="right") - 1
-        inside = (idx >= 0) & (idx < sys.count)
-        sel = np.where(inside, idx, 0)
-        inside &= mids <= sys.center[sel]
-        per = np.bincount(idx[inside], weights=pieces[inside], minlength=sys.count)
+        # a_k and center_k are merged knots, and tent k's pieces are those
+        # between them; the alternate sums over the gaps are dropped
+        bounds = np.searchsorted(t, np.stack([sys.a, sys.center], axis=1).ravel())
+        per = np.add.reduceat(pieces, bounds)[::2]
         active = sys.weight >= 3.0 / n
         lb_terms = _floor_terms(sys.weight, n)
     else:

@@ -72,6 +72,42 @@ def test_construct_rejects_alpha_above_half(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "--alpha", "0.45", "--blocks", "3", "--out", "{tmp}/x.json"],
+        ["obstruct", "--alpha", "0.45", "--blocks", "3", "--out", "{tmp}/run"],
+        ["obstruct", "--blocks", "12", "--budget", "4", "--out", "{tmp}/run"],
+    ],
+)
+def test_a_construction_too_large_to_place_is_rejected(tmp_path, capsys, args):
+    # alpha = 0.45 gives 2^26 tents in block 3, alpha = 1/3 gives 2^23 in block 12
+    assert main([a.format(tmp=tmp_path) for a in args]) == 2
+    assert "flattened sequence exceeds 10000000 entries at block" in _one_error_line(capsys)
+    assert not any(tmp_path.iterdir())
+
+
+def test_commands_that_need_no_optimizer_do_not_import_it(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import circlelab
+
+    src = os.path.dirname(os.path.dirname(circlelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from circlelab.cli import main\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        f"main(['construct', '--blocks', '3', '--out', {str(tmp_path / 'x.json')!r}])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    imported_before, wrote, imported_after = out.stdout.splitlines()
+    assert wrote.startswith("wrote ") and imported_before == imported_after == "False"
+
+
 def test_missing_input_files_are_rejected(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["seminorm", "--in", str(missing)]) == 2

@@ -26,7 +26,7 @@ def test_cube_root_blocks_match_hand_derivation():
     seq = build_delta_sequence(OMEGA_CUBE_ROOT, 3)
     assert seq.epsilons.tolist() == [2.0**-3, 2.0**-6, 2.0**-9]
     assert seq.block_sizes.tolist() == [2, 8, 32]
-    assert seq.block_starts.tolist() == [1, 3, 11, 43]
+    assert seq.deltas.tolist() == [2.0**-3] * 2 + [2.0**-6] * 8 + [2.0**-9] * 32
     sums = seq.block_weight_sums()
     # independent recomputation: n_j * (eps_j^(1/3))^2
     for j in range(3):
@@ -49,10 +49,66 @@ def test_block_invariants_through_eight_blocks():
 
 def test_flattening_is_blockwise_constant():
     seq = build_delta_sequence(OMEGA_CUBE_ROOT, 3)
-    for j in range(1, 4):
-        blk = seq.deltas[seq.block_slice(j)]
-        assert blk.size == seq.block_sizes[j - 1]
-        assert np.all(blk == seq.epsilons[j - 1])
+    ends = np.cumsum(seq.block_sizes)
+    assert seq.deltas.size == ends[-1]
+    for j in range(3):
+        blk = seq.deltas[ends[j] - seq.block_sizes[j] : ends[j]]
+        assert np.all(blk == seq.epsilons[j])
+
+
+def _flattened_placement(seq, omega):
+    """Interval placement as it was when the sequence stored one row per
+    tent: widths repeated per block first, omega applied to every width."""
+    deltas = np.repeat(seq.epsilons, seq.block_sizes)
+    count = deltas.size
+    occupied = 6.0 * float(np.sum(deltas))
+    gap = (TWO_PI - occupied) / (count + 1)
+    prefix = np.concatenate([[0.0], np.cumsum(6.0 * deltas)])[:count]
+    a = gap * np.arange(1, count + 1) + prefix
+    return a, a + 6.0 * deltas, a + 3.0 * deltas, deltas, np.asarray(omega(deltas), dtype=float)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 1.0 / 3.0])
+def test_placement_equals_the_flattened_path(alpha):
+    omega = ModulusSpec.power(alpha)
+    for blocks in range(1, 10):
+        seq = build_delta_sequence(omega, blocks)
+        sys_ = place_intervals(seq, seq.deltas.size)
+        got = (sys_.a, sys_.b, sys_.center, sys_.delta, sys_.weight)
+        for mine, ref in zip(got, _flattened_placement(seq, omega)):
+            assert np.array_equal(mine, ref)
+
+
+def _assert_block_invariants(seq, omega):
+    for j in range(1, seq.blocks + 1):
+        e = seq.epsilons[j - 1]
+        n = int(seq.block_sizes[j - 1])
+        assert 0.0 < e < 2.0 ** -(j + 1)
+        assert omega(e) ** 2 / e >= 2.0**j * (1 - 1e-12)
+        assert 1.0 / (2.0 ** (j + 1) * e) <= n < 1.0 / (2.0**j * e) * (1 + 1e-12)
+    assert np.all(seq.block_weight_sums() >= 0.5 - 1e-12)
+    assert sum(int(n) * float(e) for n, e in zip(seq.block_sizes, seq.epsilons)) <= 1.0 + 1e-12
+
+
+def test_blocks_past_the_flattening_cap():
+    # 2^59 tents in block 30: the blocks are built, only flattening is refused
+    seq = build_delta_sequence(OMEGA_CUBE_ROOT, 30)
+    assert seq.block_sizes[-1] == 2**59
+    _assert_block_invariants(seq, OMEGA_CUBE_ROOT)
+    with pytest.raises(ConstructionError, match="10000000 entries at block 12"):
+        seq.deltas
+    with pytest.raises(ConstructionError, match="at block 12"):
+        place_intervals(seq, 1)
+    # alpha = 0.45: n_j = 2^(9j - 1), so block 7 is the last that fits int64
+    omega = ModulusSpec.power(0.45)
+    _assert_block_invariants(build_delta_sequence(omega, 7), omega)
+    with pytest.raises(ConstructionError, match="block 8: count 2361183241434822606848 does not fit"):
+        build_delta_sequence(omega, 9)
+
+
+def test_block_count_beyond_int64_rejected():
+    with pytest.raises(ConstructionError, match="block 2: .* does not fit a 64-bit integer"):
+        build_delta_sequence(ModulusSpec.power(0.49), 2)
 
 
 def test_sqrt_modulus_rejected():

@@ -42,6 +42,12 @@ def test_verify_all_quick_passes():
     assert report.passed
 
 
+def test_delta_sequence_suite_reads_blocks_past_the_flattening_cap():
+    # verify --blocks 10 checks blocks 1..12; block 12 alone holds 2^23 tents
+    result = experiments.check_delta_sequence(OMEGA, range(1, 13))
+    assert result.passed, result.line()
+
+
 def test_corrupted_build_is_caught():
     seq = build_delta_sequence(OMEGA, 2)
     sys2 = place_intervals(seq, seq.deltas.size)

@@ -301,16 +301,20 @@ def test_modulus_matches_window_reductions_on_the_construction():
 def test_lip_check_builds_each_sparse_table_once(monkeypatch):
     built = []
 
-    def counting(a, op):
-        built.append(op)
-        return build(a, op)
+    def counting(a, op, longest):
+        table = build(a, op, longest)
+        built.append((op, table.shape))
+        return table
 
     build = seminorm._sparse_tables
     monkeypatch.setattr(seminorm, "_sparse_tables", counting)
     omega = ModulusSpec.power(1.0 / 3.0)
     seq = build_delta_sequence(omega, 4)
-    lip_check(build_u(place_intervals(seq, seq.deltas.size)), omega)
-    assert built == [np.maximum, np.minimum]
+    u = build_u(place_intervals(seq, seq.deltas.size))
+    lip_check(u, omega)
+    # two periods of ranks, and only the rows of windows up to one period
+    n = u.n_knots
+    assert built == [(np.maximum, (n.bit_length(), 2 * n)), (np.minimum, (n.bit_length(), 2 * n))]
 
 
 def test_lip_check_constant_is_zero():

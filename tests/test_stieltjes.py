@@ -239,3 +239,43 @@ def test_closed_form_matches_the_exact_pairing():
             assert pairing_closed_form(sys_, n) == pytest.approx(exact, rel=1e-14, abs=0.0)
     with pytest.raises(ValueError):
         pairing_closed_form(sys_, 0)
+
+
+def _midpoint_attribution(sys_, u, v, n):
+    """Per-tent pairing by classifying each merged piece by its midpoint:
+    the piece belongs to tent k when its midpoint lies in [a_k, center_k]."""
+    un = truncate_un(u, n)
+    t = np.unique(np.concatenate([v.knots, un.knots, sys_.a, sys_.center]))
+    va, ua = v(t), un(t)
+    pieces = 0.5 * (va + np.roll(va, -1)) * (np.roll(ua, -1) - ua)
+    t_ext = np.append(t, t[0] + TWO_PI)
+    mids = 0.5 * (t_ext[:-1] + t_ext[1:])
+    idx = np.searchsorted(sys_.a, mids, side="right") - 1
+    inside = (idx >= 0) & (idx < sys_.count)
+    inside &= mids <= sys_.center[np.where(inside, idx, 0)]
+    return np.bincount(idx[inside], weights=pieces[inside], minlength=sys_.count), pieces
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+def test_pieces_are_attributed_by_index(blocks):
+    seq = build_delta_sequence(ModulusSpec.power(1.0 / 3.0), blocks)
+    sys_ = place_intervals(seq, seq.deltas.size)
+    u, v = build_u(sys_), build_v(sys_)
+    for n in range(1, max(sys_.n_grid) + 2):
+        rep = pairing_report(sys_, n, u=u, v=v)
+        assert np.array_equal(rep.per_interval, _midpoint_attribution(sys_, u, v, n)[0])
+    # hand-made profiles: v without the a_k and center_k knots, and u lifted
+    # above every level so that each tent's first piece carries a rise
+    rng = np.random.default_rng(blocks)
+    knots = np.sort(rng.uniform(0.0, TWO_PI, 64))
+    assert not np.isin(np.concatenate([sys_.a, sys_.center]), knots).any()
+    hand_v = PiecewiseLinearFunction(knots, rng.uniform(0.0, 1.0, 64))
+    lifted_u = PiecewiseLinearFunction(u.knots, u.values + 1.0)
+    for uu in (u, lifted_u):
+        for n in (6, 48):
+            rep = pairing_report(sys_, n, u=uu, v=hand_v)
+            expected, pieces = _midpoint_attribution(sys_, uu, hand_v, n)
+            # at most a handful of pieces per tent, summed in another order
+            tol = 8 * np.finfo(float).eps * float(np.max(np.abs(pieces)))
+            assert np.allclose(rep.per_interval, expected, rtol=0.0, atol=tol)
+            assert np.any(rep.per_interval != 0.0)
