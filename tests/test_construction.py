@@ -35,15 +35,20 @@ def test_cube_root_blocks_match_hand_derivation():
         assert abs(sums[j] - 0.5) < 1e-12
 
 
-def test_block_invariants_through_eight_blocks():
-    seq = build_delta_sequence(OMEGA_CUBE_ROOT, 8)
-    for j in range(1, 9):
+def _assert_block_invariants(seq, omega):
+    for j in range(1, seq.blocks + 1):
         e = seq.epsilons[j - 1]
         n = int(seq.block_sizes[j - 1])
         assert 0.0 < e < 2.0 ** -(j + 1)
-        assert OMEGA_CUBE_ROOT(e) ** 2 / e >= 2.0**j * (1 - 1e-12)
+        assert omega(e) ** 2 / e >= 2.0**j * (1 - 1e-12)
         assert 1.0 / (2.0 ** (j + 1) * e) <= n < 1.0 / (2.0**j * e)
     assert np.all(seq.block_weight_sums() >= 0.5 - 1e-12)
+    assert sum(int(n) * float(e) for n, e in zip(seq.block_sizes, seq.epsilons)) <= 1.0 + 1e-12
+
+
+def test_block_invariants_through_eight_blocks():
+    seq = build_delta_sequence(OMEGA_CUBE_ROOT, 8)
+    _assert_block_invariants(seq, OMEGA_CUBE_ROOT)
     assert float(np.sum(seq.deltas)) <= 1.0 + 1e-12
 
 
@@ -79,17 +84,6 @@ def test_placement_equals_the_flattened_path(alpha):
             assert np.array_equal(mine, ref)
 
 
-def _assert_block_invariants(seq, omega):
-    for j in range(1, seq.blocks + 1):
-        e = seq.epsilons[j - 1]
-        n = int(seq.block_sizes[j - 1])
-        assert 0.0 < e < 2.0 ** -(j + 1)
-        assert omega(e) ** 2 / e >= 2.0**j * (1 - 1e-12)
-        assert 1.0 / (2.0 ** (j + 1) * e) <= n < 1.0 / (2.0**j * e) * (1 + 1e-12)
-    assert np.all(seq.block_weight_sums() >= 0.5 - 1e-12)
-    assert sum(int(n) * float(e) for n, e in zip(seq.block_sizes, seq.epsilons)) <= 1.0 + 1e-12
-
-
 def test_blocks_past_the_flattening_cap():
     # 2^59 tents in block 30: the blocks are built, only flattening is refused
     seq = build_delta_sequence(OMEGA_CUBE_ROOT, 30)
@@ -97,8 +91,6 @@ def test_blocks_past_the_flattening_cap():
     _assert_block_invariants(seq, OMEGA_CUBE_ROOT)
     with pytest.raises(ConstructionError, match="10000000 entries at block 12"):
         seq.deltas
-    with pytest.raises(ConstructionError, match="at block 12"):
-        place_intervals(seq, 1)
     # alpha = 0.45: n_j = 2^(9j - 1), so block 7 is the last that fits int64
     omega = ModulusSpec.power(0.45)
     _assert_block_invariants(build_delta_sequence(omega, 7), omega)
