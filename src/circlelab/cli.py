@@ -188,7 +188,7 @@ def _run(args, cfg: dict) -> int:
         blocks = _resolve(args, cfg, "blocks", 4, int)
         omega = ModulusSpec.power(alpha)
         seq = build_delta_sequence(omega, blocks, strict=not args.exploratory)
-        count = _resolve(args, cfg, "truncation", seq.deltas.size, int)
+        count = _resolve(args, cfg, "truncation", seq.tents, int)
         sys_ = place_intervals(seq, count)
         payload = {
             "config": {"alpha": alpha, "blocks": blocks, "truncation": int(count)},

@@ -13,7 +13,7 @@ The sequence keeps one row (eps_j, n_j, omega(eps_j)) per block.  Its
 flattened widths delta_k (eps_j repeated n_j times) have sum_k delta_k =
 sum_j n_j eps_j <= 1 while every block contributes n_j omega(eps_j)^2 >= 1/2
 to sum_k omega(delta_k)^2 -- small total width, divergent squared-weight
-sum.  Only interval placement flattens, and it refuses more than 10^7 tents.
+sum.  Only placement flattens, the blocks its tents reach, up to 10^7 tents.
 
 On the circle, disjoint intervals I_k = [a_k, b_k] of length 6*delta_k are
 packed left to right with equal gaps.  With J_k the left half of I_k and
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .core import TWO_PI, PiecewiseLinearFunction, _float_fields, _readonly
+from .core import TWO_PI, PiecewiseLinearFunction, _float_fields, _readonly, _on_merged_knots, _tent_sum
 from .seminorm import ModulusSpec
 
 __all__ = [
@@ -79,16 +78,27 @@ class DeltaSequence:
         return self.epsilons.size
 
     @property
+    def tents(self) -> int:
+        """sum_j n_j, the number of tents, as a Python int."""
+        return sum(self.block_sizes.tolist())
+
+    @property
     def deltas(self) -> np.ndarray:
         """The flattened widths delta_k."""
-        return self._per_tent(self.epsilons)
+        return self._per_tent(self.epsilons, self.tents)
 
-    def _per_tent(self, per_block: np.ndarray) -> np.ndarray:
-        """``per_block[j]`` repeated n_j times, refused past _MAX_FLATTENED entries."""
-        for j, total in enumerate(accumulate(self.block_sizes.tolist()), start=1):
-            if total > _MAX_FLATTENED:
+    def _per_tent(self, per_block: np.ndarray, count: int) -> np.ndarray:
+        """The first ``count`` entries of ``per_block[j]`` repeated n_j times, repeating
+        only the blocks they reach; past _MAX_FLATTENED entries it is refused."""
+        counts, placed = [], 0
+        for j, n in enumerate(self.block_sizes.tolist(), start=1):
+            if placed + n > _MAX_FLATTENED and count > _MAX_FLATTENED:
                 raise ConstructionError(f"flattened sequence exceeds {_MAX_FLATTENED} entries at block {j}")
-        return np.repeat(per_block, self.block_sizes)
+            if placed >= count:
+                break
+            counts.append(min(n, count - placed))
+            placed += counts[-1]
+        return np.repeat(per_block[: len(counts)], counts)
 
     def block_weight_sums(self) -> np.ndarray:
         """sum of omega(delta_k)^2 over each block: n_j * omega(eps_j)^2."""
@@ -170,20 +180,19 @@ def build_delta_sequence(omega: ModulusSpec, blocks: int, strict: bool = True) -
 class TriangleSystem:
     """Disjoint tent intervals I_k = [a_k, b_k] inside (0, 2*pi).
 
-    Stored per tent: left endpoint ``a``, right endpoint ``b = a + 6*delta``,
-    peak position ``center = a + 3*delta`` (which is also the right end of
-    the left half J_k = [a, center]), width parameter ``delta`` and weight
-    ``w = omega(delta)``.  The middle third of J_k is [a + delta, a + 2*delta].
+    Stored per tent: left endpoint ``a``, width parameter ``delta`` and
+    weight ``w = omega(delta)``.  Derived from them: the right endpoint
+    ``b = a + 6*delta`` and the peak position ``center = a + 3*delta``
+    (which is also the right end of the left half J_k = [a, center]); the
+    middle third of J_k is [``mid_lo``, ``mid_hi``] = [a + delta, a + 2*delta].
     """
 
     a: np.ndarray
-    b: np.ndarray
-    center: np.ndarray
     delta: np.ndarray
     weight: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "delta", "weight", "b", "center"):
+        for name in ("a", "delta", "weight"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
@@ -210,6 +219,18 @@ class TriangleSystem:
         at which each tent is active (w_k >= 3/n)."""
         return sorted({math.ceil(3.0 / w) for w in self.weight.tolist()})
 
+    def active(self, n: int) -> np.ndarray:
+        """Whether each tent is active at truncation n: w_k >= 3/n."""
+        return self.weight >= 3.0 / n
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.a + 6.0 * self.delta
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.a + 3.0 * self.delta
+
     @property
     def mid_lo(self) -> np.ndarray:
         return self.a + self.delta
@@ -229,7 +250,7 @@ class TriangleSystem:
     @staticmethod
     def from_dict(d: dict) -> "TriangleSystem":
         a, delta, w = _float_fields(d, "triangle system", ("a", "delta", "w"))
-        return TriangleSystem(a=a, b=a + 6.0 * delta, center=a + 3.0 * delta, delta=delta, weight=w)
+        return TriangleSystem(a=a, delta=delta, weight=w)
 
 
 def place_intervals(seq: DeltaSequence, count: int) -> TriangleSystem:
@@ -242,7 +263,7 @@ def place_intervals(seq: DeltaSequence, count: int) -> TriangleSystem:
     count = int(count)
     if count < 0:
         raise ValueError("count must be >= 0")
-    deltas = seq.deltas[:count]
+    deltas = seq._per_tent(seq.epsilons, count)
     if deltas.size < count:
         raise ValueError(f"only {deltas.size} widths available, asked for {count}")
     occupied = 6.0 * float(np.sum(deltas))
@@ -251,27 +272,7 @@ def place_intervals(seq: DeltaSequence, count: int) -> TriangleSystem:
     gap = (TWO_PI - occupied) / (count + 1)
     prefix = np.concatenate([[0.0], np.cumsum(6.0 * deltas)])[:count]
     a = gap * np.arange(1, count + 1) + prefix
-    return TriangleSystem(
-        a=a,
-        b=a + 6.0 * deltas,
-        center=a + 3.0 * deltas,
-        delta=deltas,
-        weight=seq._per_tent(seq.weights)[:count],
-    )
-
-
-def _tent_sum(lefts, peaks, rights, weights) -> PiecewiseLinearFunction:
-    k = lefts.size
-    if k == 0:
-        return PiecewiseLinearFunction(np.array([0.0]), np.array([0.0]))
-    knots = np.empty(3 * k + 1)
-    values = np.zeros(3 * k + 1)
-    knots[0] = 0.0
-    knots[1::3] = lefts
-    knots[2::3] = peaks
-    knots[3::3] = rights
-    values[2::3] = weights
-    return PiecewiseLinearFunction(knots, values)
+    return TriangleSystem(a=a, delta=deltas, weight=seq._per_tent(seq.weights, count))
 
 
 def build_u(sys: TriangleSystem) -> PiecewiseLinearFunction:
@@ -286,10 +287,8 @@ def build_v(sys: TriangleSystem) -> PiecewiseLinearFunction:
 
 def build_f(sys: TriangleSystem) -> PiecewiseLinearFunction:
     """f = u + i*v on the union knot set."""
-    u = build_u(sys)
-    v = build_v(sys)
-    knots = np.unique(np.concatenate([u.knots, v.knots]))
-    return PiecewiseLinearFunction(knots, u(knots) + 1j * v(knots))
+    knots, (u, v) = _on_merged_knots((build_u(sys), build_v(sys)))
+    return PiecewiseLinearFunction(knots, u[:-1] + 1j * v[:-1])
 
 
 def truncate_un(u: PiecewiseLinearFunction, n: int) -> PiecewiseLinearFunction:
@@ -313,10 +312,6 @@ def truncate_un(u: PiecewiseLinearFunction, n: int) -> PiecewiseLinearFunction:
         t_next[crossing] - t[crossing]
     )
     tc = np.where(tc >= TWO_PI, tc - TWO_PI, tc)
-    knots = np.concatenate([t, tc])
-    values = np.concatenate([np.maximum(y, c), np.full(tc.size, c)])
-    order = np.argsort(knots, kind="stable")
-    knots = knots[order]
-    values = values[order]
-    keep = np.concatenate([[True], np.diff(knots) > 0.0])
-    return PiecewiseLinearFunction(knots[keep], values[keep])
+    return PiecewiseLinearFunction.from_points(
+        np.concatenate([t, tc]), np.concatenate([np.maximum(y, c), np.full(tc.size, c)])
+    )

@@ -6,10 +6,12 @@ Two concrete carriers are used everywhere in this package:
   of a continuous periodic function (strictly increasing knot angles in
   [0, 2*pi), real or complex values, linear interpolation between knots,
   and a wrap segment from the last knot back to the first).  Every PL function
-  in the package is of this kind.  The class is the only code that knows
+  in the package is of this kind.  This module is the only code that knows
   the wrap-segment layout; everything else reads it through the read-only
   segment views ``ext_knots`` and ``ext_values`` (knots and values closed
-  by the wrap knot) and the lazily cached ``slopes`` and ``jumps``.
+  by the wrap knot), the lazily cached ``slopes`` and ``jumps``, the same
+  closure on several functions' merged knots (``_on_merged_knots``), and
+  builds functions by ``from_points`` (points in any order) or ``_tent_sum``.
 * :class:`GridFunction` -- uniform power-of-two sample grids, the carrier
   for FFT-based computations.
 
@@ -187,6 +189,18 @@ class PiecewiseLinearFunction:
         }
 
     @staticmethod
+    def from_points(knots, values) -> "PiecewiseLinearFunction":
+        """The function through points given in any order: the points are
+        sorted stably by knot, and of equal knots the first one given is kept.
+        Non-finite knots are kept, so that the constructor rejects them."""
+        order = np.argsort(knots, kind="stable")
+        # rebound as soon as sorted, so no unsorted copy outlives its use
+        knots = np.asarray(knots, dtype=float)[order]
+        values = np.asarray(values)[order]
+        keep = np.concatenate([[True], knots[1:] != knots[:-1]])
+        return PiecewiseLinearFunction(knots[keep], values[keep])
+
+    @staticmethod
     def from_dict(d: dict) -> "PiecewiseLinearFunction":
         knots, re, im = _float_fields(d, "PL function", ("knots", "re", "im"))
         return PiecewiseLinearFunction(knots, re + 1j * im)
@@ -212,6 +226,33 @@ class GridFunction:
         object.__setattr__(self, "samples", _readonly(samples))
 
 
+def _on_merged_knots(fs, extra=()) -> tuple:
+    """The sorted union t of the functions' knots and the ``extra`` angles, and
+    each function's values at t closed by its value at the wrap knot t[0] + 2*pi:
+    piece i runs from t[i] to t[i + 1], the last one to the wrap knot."""
+    t = np.unique(np.concatenate([f.knots for f in fs] + list(extra)))
+    closed = []
+    for f in fs:
+        # grown in place, so no second merged-length array is made
+        y = f(t)
+        y.resize(t.size + 1, refcheck=False)
+        y[-1] = y[0]
+        closed.append(y)
+    return t, closed
+
+
+def _tent_sum(lefts, peaks, rights, weights) -> PiecewiseLinearFunction:
+    """Sum of disjoint tents in increasing order strictly inside (0, 2*pi): tent k
+    rises from 0 at ``lefts[k]`` to ``weights[k]`` at ``peaks[k]``, back to 0 at ``rights[k]``."""
+    knots = np.zeros(3 * lefts.size + 1)
+    values = np.zeros(3 * lefts.size + 1)
+    knots[1::3] = lefts
+    knots[2::3] = peaks
+    knots[3::3] = rights
+    values[2::3] = weights
+    return PiecewiseLinearFunction(knots, values)
+
+
 def triangle(interval: CircleInterval) -> PiecewiseLinearFunction:
     """Unit tent supported on ``interval``: 0 at the endpoints and outside,
     1 at the center, linear on each half.
@@ -221,9 +262,7 @@ def triangle(interval: CircleInterval) -> PiecewiseLinearFunction:
     """
     if interval.a <= 0.0 or interval.b >= TWO_PI:
         raise ValueError("interval must lie strictly inside (0, 2*pi)")
-    knots = np.array([0.0, interval.a, interval.center, interval.b])
-    values = np.array([0.0, 0.0, 1.0, 0.0])
-    return PiecewiseLinearFunction(knots, values)
+    return _tent_sum(np.array([interval.a]), np.array([interval.center]), np.array([interval.b]), 1.0)
 
 
 def sample(f: PiecewiseLinearFunction, n: int) -> GridFunction:

@@ -34,7 +34,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -128,15 +128,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "suites": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail, "witness": r.witness}
-                for r in self.results
-            ],
-        }
 
 
 @dataclass
@@ -422,9 +413,7 @@ def check_superposition(count: int, seed: int, knot_count: int = 32) -> SuiteRes
 
 
 def _reflect_pl(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
-    knots = np.where(f.knots == 0.0, 0.0, TWO_PI - f.knots)
-    order = np.argsort(knots)
-    return PiecewiseLinearFunction(knots[order], f.values[order])
+    return PiecewiseLinearFunction.from_points(np.where(f.knots == 0.0, 0.0, TWO_PI - f.knots), f.values)
 
 
 def check_seminorm_sanity(seed: int, n: int = 1 << 12) -> SuiteResult:
@@ -534,7 +523,7 @@ def verify_all(config: VerifyConfig | None = None) -> VerifyReport:
     cfg = config or VerifyConfig()
     omega = ModulusSpec.power(cfg.alpha)
     seq = build_delta_sequence(omega, cfg.blocks)
-    sys = place_intervals(seq, seq.deltas.size)
+    sys = place_intervals(seq, seq.tents)
     u = build_u(sys)
     v = build_v(sys)
     results = [
@@ -585,23 +574,9 @@ class ObstructionRecord:
     scope: str = SCOPE_NOTE
 
     def to_dict(self) -> dict:
-        return {
-            "blocks": self.blocks,
-            "tents": self.tents,
-            "n_grid": list(self.n_grid),
-            "lower_bounds": list(self.lower_bounds),
-            "certified_sums": list(self.certified_sums),
-            "sup_lower_bound": self.sup_lower_bound,
-            "best_raw": list(self.best_raw),
-            "best_homeo": self.best_homeo.to_dict(),
-            "achieved_products": list(self.achieved_products),
-            "identity_products": list(self.identity_products),
-            "best_objective": self.best_objective,
-            "evals": self.evals,
-            "violations": self.violations,
-            "budget_exhausted": self.budget_exhausted,
-            "scope": self.scope,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["best_homeo"] = self.best_homeo.to_dict()
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "ObstructionRecord":
@@ -702,13 +677,13 @@ def run_obstruction(
     records = []
     for blocks in block_counts:
         seq = build_delta_sequence(omega, int(blocks), strict=strict)
-        tents = seq.deltas.size
+        tents = seq.tents
         sys = place_intervals(seq, tents)
         u = build_u(sys)
         v = build_v(sys)
         n_grid = sys.n_grid
         lower_bounds = [pairing_closed_form(sys, n) for n in n_grid]
-        certified = [float(np.sum(_floor_terms(sys.weight, n))) / TWO_PI for n in n_grid]
+        certified = [float(np.sum(_floor_terms(sys, n))) / TWO_PI for n in n_grid]
         engine = _ProductObjective(u, v, n_grid, lower_bounds)
         _, identity_products = engine.evaluate(np.zeros(knots))
         per_restart = budget // restarts
@@ -772,12 +747,7 @@ class LacunaryReport:
     lip_half_ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "terms": self.terms,
-            "seminorm_sq": self.seminorm_sq,
-            "seminorm_sq_spectral": self.seminorm_sq_spectral,
-            "lip_half_ratio": self.lip_half_ratio,
-        }
+        return asdict(self)
 
 
 def lacunary_fixture(terms: int) -> LacunaryReport:

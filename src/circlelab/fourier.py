@@ -134,13 +134,13 @@ def synthesize(c: SpectrumCoeffs, n: int) -> GridFunction:
     return GridFunction(n, np.fft.ifft(full) * n)
 
 
-def harmonic(k: int, max_freq: int | None = None, amplitude: complex = 1.0) -> SpectrumCoeffs:
-    """Spectrum of amplitude * e^{ikt}."""
+def harmonic(k: int, max_freq: int | None = None) -> SpectrumCoeffs:
+    """Spectrum of e^{ikt}."""
     k = int(k)
     if max_freq is None:
         max_freq = abs(k)
     if abs(k) > max_freq:
         raise ValueError("harmonic frequency beyond max_freq")
     coeffs = np.zeros(2 * max_freq + 1, dtype=complex)
-    coeffs[max_freq + k] = amplitude
+    coeffs[max_freq + k] = 1.0
     return SpectrumCoeffs(max_freq, coeffs)

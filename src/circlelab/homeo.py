@@ -102,13 +102,10 @@ def superpose(f: PiecewiseLinearFunction, h: PLHomeomorphism) -> PiecewiseLinear
     over exactly -- f's knot values at the preimages, f evaluated at h's
     exact output knots elsewhere.
     """
-    positions = np.concatenate([h.invert().apply(f.knots), h.knots_in])
-    values = np.concatenate([f.values, f(h.knots_out)])
-    order = np.argsort(positions, kind="stable")
-    positions = positions[order]
-    values = values[order]
-    keep = np.concatenate([[True], np.diff(positions) > 0.0])
-    return PiecewiseLinearFunction(positions[keep], values[keep])
+    return PiecewiseLinearFunction.from_points(
+        np.concatenate([h.invert().apply(f.knots), h.knots_in]),
+        np.concatenate([f.values, f(h.knots_out)]),
+    )
 
 
 def random_homeomorphism(knot_count: int, roughness: float = 1.0, rng=None) -> PLHomeomorphism:

@@ -84,6 +84,9 @@ class ModulusSpec:
         omegas = np.asarray(omegas, dtype=float)
         if deltas.ndim != 1 or deltas.shape != omegas.shape or deltas.size < 2:
             raise ValueError("table modulus needs matching 1-d arrays with >= 2 points")
+        for name, arr in (("deltas", deltas), ("omegas", omegas)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"table {name} must be finite, got {arr[~np.isfinite(arr)][0]}")
         if deltas[0] != 0.0 or omegas[0] != 0.0:
             raise ValueError("table modulus must start at (0, 0)")
         if not np.all(np.diff(deltas) > 0.0):
@@ -134,10 +137,10 @@ class EquivalenceEstimate:
 
 
 def sobolev_spectral(c: SpectrumCoeffs, s: float) -> float:
-    """Spectral seminorm ( sum |fhat(k)|^2 |k|^(2s) )^(1/2), s > 0."""
+    """Spectral seminorm ( sum |fhat(k)|^2 |k|^(2s) )^(1/2), s > 0 finite."""
     s = float(s)
-    if s <= 0.0:
-        raise ValueError("order s must be positive")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValueError(f"order s must be finite and positive, got {s}")
     k = np.abs(c.k_values).astype(float)
     return math.sqrt(float(np.sum(np.abs(c.coeffs) ** 2 * k ** (2.0 * s))))
 

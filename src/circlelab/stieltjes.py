@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TWO_PI, PiecewiseLinearFunction, _readonly
+from .core import TWO_PI, PiecewiseLinearFunction, _on_merged_knots, _readonly
 from .construction import TriangleSystem, build_u, build_v, truncate_un
 from .fourier import SpectrumCoeffs
 from .seminorm import pl_seminorm, sobolev_spectral
@@ -45,11 +45,8 @@ def _require_real(y: PiecewiseLinearFunction, role: str):
 def rs_integral(x: PiecewiseLinearFunction, y: PiecewiseLinearFunction) -> complex:
     """int_0^{2pi} x(t) dy(t) for continuous PL x (complex ok) and real PL y."""
     _require_real(y, "integrator")
-    t = np.unique(np.concatenate([x.knots, y.knots]))
-    xa = x(t)
-    ya = y(t)
-    # piece i runs from t[i] to t[i + 1], the last one to the wrap knot t[0] + 2pi
-    return complex(np.sum(0.5 * (xa + np.roll(xa, -1)) * (np.roll(ya, -1) - ya)))
+    _, (xa, ya) = _on_merged_knots((x, y))
+    return complex(np.sum(0.5 * (xa[:-1] + xa[1:]) * np.diff(ya)))
 
 
 def fourier_pairing(y: PiecewiseLinearFunction, k) -> complex | np.ndarray:
@@ -142,15 +139,12 @@ def pairing_report(
         u = build_u(sys)
     if v is None:
         v = build_v(sys)
-    un = truncate_un(u, n)
-    t = np.unique(np.concatenate([v.knots, un.knots, sys.a, sys.center]))
-    # piece i runs from t[i] to t[i + 1], the last one to the wrap knot t[0] + 2pi
-    # (built partly in place: one merged-length temporary at a time)
-    va = v(t)
-    ua = un(t)
-    pieces = np.roll(ua, -1) - ua
-    va += np.roll(va, -1)
-    pieces *= 0.5 * va
+    t, (va, ua) = _on_merged_knots((v, truncate_un(u, n)), (sys.a, sys.center))
+    # built partly in place: one merged-length temporary at a time
+    pieces = np.diff(ua)
+    mean = va[:-1] + va[1:]
+    mean *= 0.5
+    pieces *= mean
     value = float(np.sum(pieces))
 
     if sys.count:
@@ -158,12 +152,9 @@ def pairing_report(
         # between them; the alternate sums over the gaps are dropped
         bounds = np.searchsorted(t, np.stack([sys.a, sys.center], axis=1).ravel())
         per = np.add.reduceat(pieces, bounds)[::2]
-        active = sys.weight >= 3.0 / n
-        lb_terms = _floor_terms(sys.weight, n)
     else:
         per = np.zeros(0)
-        active = np.zeros(0, dtype=bool)
-        lb_terms = np.zeros(0)
+    lb_terms = _floor_terms(sys, n)
     return StieltjesReport(
         value=value,
         per_interval=per,
@@ -171,14 +162,14 @@ def pairing_report(
         lower_bound=float(np.sum(lb_terms)),
         weights=sys.weight.copy(),
         lb_terms=lb_terms,
-        active=active,
+        active=sys.active(n),
     )
 
 
-def _floor_terms(weight: np.ndarray, n: int) -> np.ndarray:
+def _floor_terms(sys: TriangleSystem, n: int) -> np.ndarray:
     """The certified floor (2/9) w^2 of each tent active at truncation n
     (w >= 3/n), else 0."""
-    return np.where(weight >= 3.0 / n, (2.0 / 9.0) * weight**2, 0.0)
+    return np.where(sys.active(n), (2.0 / 9.0) * sys.weight**2, 0.0)
 
 
 def pairing_closed_form(sys: TriangleSystem, n: int) -> float:

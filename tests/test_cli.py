@@ -261,3 +261,26 @@ def test_stieltjes_rejects_a_system_with_a_non_finite_entry(tmp_path, capsys, te
     system.write_text(text)
     assert main(["stieltjes", "--system", str(system), "--n", "6"]) == 2
     assert _one_error_line(capsys) == f"circlelab: error: {field} must be finite, got {value}\n"
+
+
+def test_a_small_placement_from_a_long_sequence(tmp_path, capsys):
+    from circlelab import ModulusSpec, build_delta_sequence, place_intervals
+
+    out = tmp_path / "x.json"
+    assert main(["construct", "--blocks", "12", "--truncation", "100", "--out", str(out)]) == 0
+    expected = place_intervals(build_delta_sequence(ModulusSpec.power(1.0 / 3.0), 4), 100).to_dict()
+    assert json.loads(out.read_text())["system"] == expected
+    assert "100 tents from 12 blocks" in capsys.readouterr().out
+    # placing every tent of the same sequence is still refused
+    assert main(["obstruct", "--blocks", "12", "--budget", "4", "--out", str(tmp_path / "run")]) == 2
+    assert "10000000 entries at block 12" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf", "0"])
+def test_seminorm_rejects_an_order_that_is_not_finite_and_positive(tmp_path, capsys, s):
+    from circlelab import CircleInterval, triangle
+
+    path = tmp_path / "tent.json"
+    path.write_text(json.dumps(triangle(CircleInterval(1.0, 2.0)).to_dict()))
+    assert main(["seminorm", "--in", str(path), f"--s={s}"]) == 2
+    assert "order s must be finite and positive, got" in _one_error_line(capsys)

@@ -91,6 +91,14 @@ def test_blocks_past_the_flattening_cap():
     _assert_block_invariants(seq, OMEGA_CUBE_ROOT)
     with pytest.raises(ConstructionError, match="10000000 entries at block 12"):
         seq.deltas
+    # a placement repeats only the tents it places: its first 100 are J = 4's
+    assert seq.tents == sum(2 ** (2 * j - 1) for j in range(1, 31))
+    sys4 = place_intervals(build_delta_sequence(OMEGA_CUBE_ROOT, 4), 100)
+    got = place_intervals(seq, 100)
+    for name in ("a", "b", "center", "delta", "weight"):
+        assert np.array_equal(getattr(got, name), getattr(sys4, name)), name
+    with pytest.raises(ConstructionError, match="^flattened sequence exceeds 10000000 entries at block 12$"):
+        place_intervals(seq, 10**7 + 1)
     # alpha = 0.45: n_j = 2^(9j - 1), so block 7 is the last that fits int64
     omega = ModulusSpec.power(0.45)
     _assert_block_invariants(build_delta_sequence(omega, 7), omega)
@@ -278,3 +286,68 @@ def test_empty_system():
     assert sys0.count == 0
     u = build_u(sys0)
     assert np.all(u(np.linspace(0, 6, 10)) == 0.0)
+
+
+def test_placement_repeats_only_the_tents_it_places():
+    from circlelab import DeltaSequence
+
+    # block 2 is far too long to repeat; the first five tents need two of it
+    seq = DeltaSequence(epsilons=[2.0**-3, 2.0**-40], block_sizes=[3, 2**62], weights=[0.5, 2.0**-20])
+    assert seq.tents == 3 + 2**62
+    sys5 = place_intervals(seq, 5)
+    assert sys5.delta.tolist() == [2.0**-3] * 3 + [2.0**-40] * 2
+    assert sys5.weight.tolist() == [0.5] * 3 + [2.0**-20] * 2
+    with pytest.raises(ConstructionError, match="^flattened sequence exceeds 10000000 entries at block 2$"):
+        place_intervals(seq, 10**7 + 1)
+
+
+def test_the_system_stores_only_left_ends_widths_and_weights():
+    from dataclasses import fields
+
+    seq = build_delta_sequence(OMEGA_CUBE_ROOT, 3)
+    sys3 = place_intervals(seq, seq.tents)
+    assert [f.name for f in fields(sys3)] == ["a", "delta", "weight"]
+    assert np.array_equal(sys3.b, sys3.a + 6.0 * sys3.delta)
+    assert np.array_equal(sys3.center, sys3.a + 3.0 * sys3.delta)
+    assert sys3.to_dict()["b"] == sys3.b.tolist()
+
+
+def _truncate_by_argsort(u, n):
+    """max(u, 1/n) with the level crossings merged by a stable argsort, the
+    first of equal knots kept."""
+    c = 1.0 / n
+    t, y = u.knots, u.values
+    t_next, y_next = u.ext_knots[1:], u.ext_values[1:]
+    crossing = (y - c) * (y_next - c) < 0.0
+    tc = t[crossing] + (c - y[crossing]) / (y_next[crossing] - y[crossing]) * (t_next[crossing] - t[crossing])
+    tc = np.where(tc >= TWO_PI, tc - TWO_PI, tc)
+    knots = np.concatenate([t, tc])
+    values = np.concatenate([np.maximum(y, c), np.full(tc.size, c)])
+    order = np.argsort(knots, kind="stable")
+    knots = knots[order]
+    values = values[order]
+    keep = np.concatenate([[True], np.diff(knots) > 0.0])
+    return knots[keep], values[keep]
+
+
+def test_truncation_equals_the_argsort_path_bit_for_bit():
+    from circlelab import PiecewiseLinearFunction
+
+    cases = []
+    for blocks in range(1, 6):
+        seq = build_delta_sequence(OMEGA_CUBE_ROOT, blocks)
+        sys_ = place_intervals(seq, seq.tents)
+        u = build_u(sys_)
+        cases += [(u, n) for n in range(1, max(sys_.n_grid) + 2)]
+    # random profiles whose wrap segment crosses the level, and one that
+    # touches the level at knots without crossing it
+    rng = np.random.default_rng(3)
+    for _ in range(8):
+        knots = np.sort(rng.uniform(0.2, TWO_PI - 0.2, 30))
+        cases += [(PiecewiseLinearFunction(knots, rng.uniform(0.0, 1.0, 30)), n) for n in (2, 3, 5)]
+    cases.append((PiecewiseLinearFunction(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 0.5, 1.0, 0.5])), 2))
+    for u, n in cases:
+        knots, values = _truncate_by_argsort(u, n)
+        un = truncate_un(u, n)
+        np.testing.assert_array_equal(un.knots, knots)
+        np.testing.assert_array_equal(un.values, values)

@@ -281,3 +281,30 @@ def test_import_loads_no_scipy():
     code = "import sys, circlelab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_from_points_sorts_stably_and_keeps_the_first_of_equal_knots():
+    f = PiecewiseLinearFunction.from_points([2.0, 1.0, 2.0, 0.0, 1.0], [5.0, 1.0, 7.0, 0.0, 3.0])
+    assert f.knots.tolist() == [0.0, 1.0, 2.0]
+    assert f.values.tolist() == [0.0, 1.0, 5.0]
+    g = PiecewiseLinearFunction.from_points(np.array([3.0, 0.5]), np.array([1j, 2.0]))
+    assert g.knots.tolist() == [0.5, 3.0] and g.values.tolist() == [2.0, 1j]
+    for bad in ([0.0, np.nan], [0.0, np.inf, np.inf], [-np.inf, 1.0]):
+        with pytest.raises(ValueError, match="must be finite"):
+            PiecewiseLinearFunction.from_points(bad, np.zeros(len(bad)))
+
+
+def test_merged_knots_close_each_function_at_the_wrap_knot():
+    from circlelab.core import _on_merged_knots
+
+    rng = np.random.default_rng(5)
+    f = PiecewiseLinearFunction(np.sort(rng.uniform(0.2, TWO_PI, 9)), rng.normal(size=9) + 1j * rng.normal(size=9))
+    g = PiecewiseLinearFunction(np.sort(rng.uniform(0.1, TWO_PI, 7)), rng.normal(size=7))
+    extra = np.array([0.05, 3.0])
+    t, (fa, ga) = _on_merged_knots((f, g), (extra,))
+    np.testing.assert_array_equal(t, np.unique(np.concatenate([f.knots, g.knots, extra])))
+    for h, closed in ((f, fa), (g, ga)):
+        assert closed.dtype == h.values.dtype and closed.size == t.size + 1
+        np.testing.assert_array_equal(closed[:-1], h(t))
+        # the wrap knot t[0] + 2*pi carries the value at t[0]
+        assert closed[-1] == closed[0] == h(t[0])

@@ -140,3 +140,31 @@ def test_superpose_at_the_clip_keeps_knots_increasing():
         assert g.n_knots == np.count_nonzero(keep)
         assert np.all(np.abs(g.knots - positions[keep]) <= 4 * np.spacing(positions[keep]))
         assert np.array_equal(g.values, values[keep])
+
+
+def _superpose_by_argsort(f, h):
+    """f o h on knots sorted by a stable argsort, the first of equal knots kept."""
+    positions = np.concatenate([h.invert().apply(f.knots), h.knots_in])
+    values = np.concatenate([f.values, f(h.knots_out)])
+    order = np.argsort(positions, kind="stable")
+    positions = positions[order]
+    values = values[order]
+    keep = np.concatenate([[True], np.diff(positions) > 0.0])
+    return positions[keep], values[keep]
+
+
+def test_superpose_equals_the_argsort_path_bit_for_bit():
+    rng = np.random.default_rng(31)
+    u = build_u(place_intervals(build_delta_sequence(ModulusSpec.power(1.0 / 3.0), 4), 170))
+    cases = [(u, random_homeomorphism(32, roughness=0.3, rng=seed)) for seed in range(4)]
+    cases += [(_random_pl(rng, 48, complex_values=True), random_homeomorphism(16, rng=rng)) for _ in range(6)]
+    # a map whose knot 1.0 is the preimage of a knot of f: positions repeat
+    f = _random_pl(rng, 48)
+    k = float(f.knots[f.knots < 4.0][-1])
+    cases.append((f, PLHomeomorphism(np.array([0.0, 1.0, 5.0]), np.array([0.0, k, 5.5]))))
+    assert np.count_nonzero(cases[-1][1].invert().apply(f.knots) == 1.0) == 1
+    for f, h in cases:
+        knots, values = _superpose_by_argsort(f, h)
+        fh = superpose(f, h)
+        np.testing.assert_array_equal(fh.knots, knots)
+        np.testing.assert_array_equal(fh.values, values)

@@ -132,6 +132,9 @@ def test_spectral_lacunary_partial_sums():
 def test_spectral_rejects_bad_order():
     with pytest.raises(ValueError):
         sobolev_spectral(harmonic(1), 0.0)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"order s must be finite and positive, got {s}"):
+            sobolev_spectral(harmonic(1), s)
 
 
 def test_integral_constant_vanishes():
@@ -431,6 +434,12 @@ def test_table_modulus_validation():
         # omega(x) = x^2 on a grid is not subadditive
         xs = np.linspace(0.0, 1.0, 11)
         ModulusSpec.table(xs, xs**2)
+    for name in ("deltas", "omegas"):
+        for bad in (math.nan, math.inf, -math.inf):
+            table = {"deltas": np.linspace(0.0, 1.0, 8), "omegas": np.sqrt(np.linspace(0.0, 1.0, 8))}
+            table[name][5] = bad
+            with pytest.raises(ValueError, match=f"^table {name} must be finite, got {bad}$"):
+                ModulusSpec.table(table["deltas"], table["omegas"])
 
 
 def _even_bernoulli(count):

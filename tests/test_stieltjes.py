@@ -241,6 +241,13 @@ def test_closed_form_matches_the_exact_pairing():
         pairing_closed_form(sys_, 0)
 
 
+def _rs_by_roll(x, y):
+    """int x dy on the merged knots, the wrap piece taken by np.roll."""
+    t = np.unique(np.concatenate([x.knots, y.knots]))
+    xa, ya = x(t), y(t)
+    return complex(np.sum(0.5 * (xa + np.roll(xa, -1)) * (np.roll(ya, -1) - ya)))
+
+
 def _midpoint_attribution(sys_, u, v, n):
     """Per-tent pairing by classifying each merged piece by its midpoint:
     the piece belongs to tent k when its midpoint lies in [a_k, center_k]."""
@@ -263,7 +270,12 @@ def test_pieces_are_attributed_by_index(blocks):
     u, v = build_u(sys_), build_v(sys_)
     for n in range(1, max(sys_.n_grid) + 2):
         rep = pairing_report(sys_, n, u=u, v=v)
-        assert np.array_equal(rep.per_interval, _midpoint_attribution(sys_, u, v, n)[0])
+        per, pieces = _midpoint_attribution(sys_, u, v, n)
+        assert np.array_equal(rep.per_interval, per)
+        # the value sums the same pieces, the wrap piece taken by np.roll
+        assert rep.value == float(np.sum(pieces))
+        un = truncate_un(u, n)
+        assert rs_integral(v, un) == _rs_by_roll(v, un)
     # hand-made profiles: v without the a_k and center_k knots, and u lifted
     # above every level so that each tent's first piece carries a rise
     rng = np.random.default_rng(blocks)
@@ -279,3 +291,23 @@ def test_pieces_are_attributed_by_index(blocks):
             tol = 8 * np.finfo(float).eps * float(np.max(np.abs(pieces)))
             assert np.allclose(rep.per_interval, expected, rtol=0.0, atol=tol)
             assert np.any(rep.per_interval != 0.0)
+            assert rep.value == float(np.sum(pieces))
+
+
+def test_rs_integral_equals_the_roll_formula_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        x = _random_pl(rng, 48, complex_values=bool(rng.integers(2)))
+        y = _random_pl(rng, 48)
+        assert rs_integral(x, y) == _rs_by_roll(x, y)
+
+
+def test_a_tent_of_weight_three_over_n_is_active():
+    # J = 2: the two tents of block 1 have w = 1/2, exactly 3/6
+    sys2 = place_intervals(build_delta_sequence(ModulusSpec.power(1.0 / 3.0), 2), 10)
+    assert sys2.weight[:2].tolist() == [0.5, 0.5]
+    expected = [True] * 2 + [False] * 8
+    assert sys2.active(6).tolist() == expected
+    rep = pairing_report(sys2, 6)
+    assert rep.active.tolist() == expected
+    assert rep.lb_terms.tolist() == [2.0 / 9.0 * 0.25] * 2 + [0.0] * 8
