@@ -11,7 +11,9 @@ Two concrete carriers are used everywhere in this package:
   segment views ``ext_knots`` and ``ext_values`` (knots and values closed
   by the wrap knot), the lazily cached ``slopes`` and ``jumps``, the same
   closure on several functions' merged knots (``_on_merged_knots``), and
-  builds functions by ``from_points`` (points in any order) or ``_tent_sum``.
+  builds functions by ``from_points`` (points in any order), ``_from_sorted_runs``
+  (two runs of points, each sorted by knot, merged without a sort) or
+  ``_tent_sum``.
 * :class:`GridFunction` -- uniform power-of-two sample grids, the carrier
   for FFT-based computations.
 
@@ -140,7 +142,7 @@ class PiecewiseLinearFunction:
             raise ValueError("knots and values must be finite")
         if knots[0] < 0.0 or knots[-1] >= TWO_PI:
             raise ValueError("knots must lie in [0, 2*pi)")
-        if knots.size > 1 and not np.all(np.diff(knots) > 0.0):
+        if not np.all(knots[1:] > knots[:-1]):
             raise ValueError("knots must be strictly increasing")
         # built here, not on first use: arrays cached later on a long-lived
         # function keep freed heap below them resident (peak RSS of
@@ -224,6 +226,27 @@ class GridFunction:
             raise ValueError("samples must be finite")
         object.__setattr__(self, "n_samples", n)
         object.__setattr__(self, "samples", _readonly(samples))
+
+
+def _from_sorted_runs(knots_a, values_a, knots_b, values_b) -> PiecewiseLinearFunction:
+    """``from_points`` of the points of run a followed by those of run b, bit
+    for bit, when each run's knots are strictly increasing: b's points are
+    inserted among a's without a sort, and a point of b at a knot of a is
+    dropped, as the stable sort puts it after a's and the first is kept.
+    Other runs, an empty run a among them, go through ``from_points``."""
+    if not (knots_a.size and np.all(knots_a[1:] > knots_a[:-1]) and np.all(knots_b[1:] > knots_b[:-1])):
+        return PiecewiseLinearFunction.from_points(
+            np.concatenate([knots_a, knots_b]), np.concatenate([values_a, values_b])
+        )
+    at = np.searchsorted(knots_a, knots_b, side="right")
+    # a knot of a equal to b's is the one just before b's place; at place 0,
+    # index -1 reads a's last knot, which is above b's
+    new = knots_a[at - 1] != knots_b
+    at, knots_b, values_b = at[new], knots_b[new], values_b[new]
+    # rebound as soon as merged, so no run outlives its use
+    knots_a = np.insert(knots_a, at, knots_b)
+    values_a = values_a.astype(np.result_type(values_a, values_b), copy=False)
+    return PiecewiseLinearFunction(knots_a, np.insert(values_a, at, values_b))
 
 
 def _on_merged_knots(fs, extra=()) -> tuple:

@@ -130,6 +130,12 @@ class VerifyReport:
         return all(r.passed for r in self.results)
 
 
+def _check_seed(name: str, seed) -> None:
+    """Seeds feed ``np.random.default_rng``, which takes no negative entry."""
+    if int(seed) < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+
+
 @dataclass
 class VerifyConfig:
     alpha: float = 1.0 / 3.0
@@ -138,6 +144,10 @@ class VerifyConfig:
     seed: int = 7
     alt_seed: int = 42
     quick: bool = False
+
+    def __post_init__(self):
+        for name in ("seed", "alt_seed"):
+            _check_seed(name, getattr(self, name))
 
     def scaled(self, full: int, quick: int) -> int:
         return quick if self.quick else full
@@ -668,6 +678,10 @@ def run_obstruction(
     identical records.
     """
     knots, budget, restarts = int(knots), int(budget), int(restarts)
+    block_counts = list(block_counts)
+    if not block_counts:
+        raise ValueError("need at least one block count")
+    _check_seed("seed", seed)
     if knots < 2:
         raise ValueError(f"knots must be at least 2, got {knots}")
     if restarts < 1:

@@ -9,7 +9,8 @@ h(t + 2*pi) = h(t) + 2*pi.
 Superposition f o h is computed exactly: its knot set is the union of h's
 input knots with the h-preimages of f's knots, and values are taken from
 f's knot values directly (never re-evaluated through a round trip), so
-sup-norm and total variation are preserved to rounding.
+sup-norm and total variation are preserved to rounding.  Both knot runs
+arrive sorted (the lift is nondecreasing), so they are merged, not sorted.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, PiecewiseLinearFunction, _readonly, reduce_angle
+from .core import TWO_PI, PiecewiseLinearFunction, _from_sorted_runs, _readonly, reduce_angle
 
 __all__ = [
     "PLHomeomorphism",
@@ -98,13 +99,18 @@ def from_increments(raw) -> PLHomeomorphism:
 def superpose(f: PiecewiseLinearFunction, h: PLHomeomorphism) -> PiecewiseLinearFunction:
     """Exact PL representation of f o h.
 
-    Knots: h's input knots plus h-preimages of f's knots.  Values carry
-    over exactly -- f's knot values at the preimages, f evaluated at h's
-    exact output knots elsewhere.
+    Knots: h's input knots merged into the h-preimages of f's knots, a
+    preimage kept where the two coincide.  Values carry over exactly --
+    f's knot values at the preimages, f evaluated at h's exact output
+    knots elsewhere.
     """
-    return PiecewiseLinearFunction.from_points(
-        np.concatenate([h.invert().apply(f.knots), h.knots_in]),
-        np.concatenate([f.values, f(h.knots_out)]),
+    # the preimages by the lift on [0, 2*pi] (f's knots need no reduction),
+    # passed on unnamed so the merge can free them
+    return _from_sorted_runs(
+        np.interp(f.knots, np.append(h.knots_out, TWO_PI), np.append(h.knots_in, TWO_PI)),
+        f.values,
+        h.knots_in,
+        f(h.knots_out),
     )
 
 

@@ -187,6 +187,21 @@ def test_obstruct_rejects_a_budget_below_the_restarts(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["obstruct", "--blocks", ",", "--out", "{tmp}/run"], "need at least one block count"),
+        (["obstruct", "--blocks", "1", "--seed", "-1", "--out", "{tmp}/run"], "seed must be a non-negative integer, got -1"),
+        (["verify", "--quick", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["verify", "--quick", "--alt-seed", "-1"], "alt_seed must be a non-negative integer, got -1"),
+    ],
+)
+def test_an_empty_block_list_or_a_negative_seed_is_rejected(tmp_path, capsys, args, message):
+    assert main([a.format(tmp=tmp_path) for a in args]) == 2
+    assert _one_error_line(capsys) == f"circlelab: error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

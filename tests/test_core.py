@@ -294,6 +294,65 @@ def test_from_points_sorts_stably_and_keeps_the_first_of_equal_knots():
             PiecewiseLinearFunction.from_points(bad, np.zeros(len(bad)))
 
 
+def _by_stable_sort(knots, values):
+    """The points sorted by a stable argsort, the first of equal knots kept."""
+    order = np.argsort(knots, kind="stable")
+    knots, values = knots[order], values[order]
+    keep = np.concatenate([[True], np.diff(knots) > 0.0])
+    return knots[keep], values[keep]
+
+
+def _assert_same_function(f, knots, values):
+    np.testing.assert_array_equal(f.knots, knots)
+    np.testing.assert_array_equal(np.signbit(f.knots), np.signbit(knots))
+    np.testing.assert_array_equal(f.values, values)
+    assert f.values.dtype == PiecewiseLinearFunction(knots, values).values.dtype
+
+
+def test_sorted_runs_merge_as_the_stable_sort_does():
+    from circlelab.core import _from_sorted_runs
+
+    a = np.array([-0.0, 1.0, 2.0, 3.0, 5.0])
+    cases = [
+        # ties with a at its first, inner and last knot, and b before and after a
+        (a, np.array([0.0, 1.0, 2.5, 5.0, 6.0])),
+        (np.array([0.5, 1.0]), np.array([0.0, 0.5, 0.75, 1.0])),
+        (a, np.array([])),  # an empty run b
+        (np.array([2.0]), np.array([0.0, 2.0])),
+    ]
+    for knots_a, knots_b in cases:
+        values_a = np.arange(knots_a.size) + 10.0
+        for values_b in (-np.arange(knots_b.size) - 1.0, (1.0 + 2.0j) * np.arange(knots_b.size)):
+            f = _from_sorted_runs(knots_a, values_a, knots_b, values_b)
+            _assert_same_function(
+                f, *_by_stable_sort(np.concatenate([knots_a, knots_b]), np.concatenate([values_a, values_b]))
+            )
+    # a's point is kept at a tie, with its sign of zero
+    f = _from_sorted_runs(a, np.arange(5.0), np.array([0.0, 2.0]), np.array([7.0, 8.0]))
+    assert f.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0] and np.signbit(f.knots[0])
+
+
+def test_runs_that_are_not_strictly_increasing_go_through_from_points():
+    from circlelab.core import _from_sorted_runs
+
+    cases = [
+        (np.array([0.0, 2.0, 1.0]), np.array([0.5, 1.5])),  # a out of order
+        (np.array([0.0, 1.0]), np.array([1.5, 0.5])),  # b out of order
+        (np.array([0.0, 1.0, 1.0, 2.0]), np.array([1.0, 3.0])),  # a tie inside run a
+        (np.array([0.0, 2.0]), np.array([1.0, 1.0])),  # a tie inside run b
+        (np.array([]), np.array([1.0, 0.5])),  # an empty run a
+    ]
+    for knots_a, knots_b in cases:
+        values_a, values_b = np.arange(knots_a.size) + 10.0, -np.arange(knots_b.size) - 1.0
+        f = _from_sorted_runs(knots_a, values_a, knots_b, values_b)
+        g = PiecewiseLinearFunction.from_points(
+            np.concatenate([knots_a, knots_b]), np.concatenate([values_a, values_b])
+        )
+        _assert_same_function(f, g.knots, g.values)
+    with pytest.raises(ValueError, match="must be finite"):
+        _from_sorted_runs(np.array([0.0, np.nan]), np.zeros(2), np.array([1.0]), np.zeros(1))
+
+
 def test_merged_knots_close_each_function_at_the_wrap_knot():
     from circlelab.core import _on_merged_knots
 

@@ -190,13 +190,22 @@ def test_exploratory_sqrt_modulus_runs():
         ({"knots": 1}, "knots"),
         ({"budget": 3}, "budget"),
         ({"budget": 0}, "budget"),
+        ({"block_counts": []}, "need at least one block count"),
+        ({"block_counts": iter([])}, "need at least one block count"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_run_obstruction_rejects_bad_inputs(kwargs, name, monkeypatch):
     # every check fires before the tent system is built
     monkeypatch.setattr(experiments, "build_delta_sequence", None)
     with pytest.raises(ValueError, match=name):
-        run_obstruction(OMEGA, [1], **{"knots": 4, "budget": 4, **kwargs})
+        run_obstruction(OMEGA, **{"block_counts": [1], "knots": 4, "budget": 4, **kwargs})
+
+
+@pytest.mark.parametrize("name", ["seed", "alt_seed"])
+def test_verify_config_rejects_a_negative_seed(name):
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got -1$"):
+        VerifyConfig(**{name: -1})
 
 
 def _objective(blocks):

@@ -8,8 +8,10 @@ from circlelab import (
     TWO_PI,
     CircleInterval,
     PLHomeomorphism,
+    PiecewiseLinearFunction,
     build_delta_sequence,
     build_u,
+    build_v,
     from_increments,
     ModulusSpec,
     place_intervals,
@@ -155,7 +157,8 @@ def _superpose_by_argsort(f, h):
 
 def test_superpose_equals_the_argsort_path_bit_for_bit():
     rng = np.random.default_rng(31)
-    u = build_u(place_intervals(build_delta_sequence(ModulusSpec.power(1.0 / 3.0), 4), 170))
+    sys4 = place_intervals(build_delta_sequence(ModulusSpec.power(1.0 / 3.0), 4), 170)
+    u = build_u(sys4)
     cases = [(u, random_homeomorphism(32, roughness=0.3, rng=seed)) for seed in range(4)]
     cases += [(_random_pl(rng, 48, complex_values=True), random_homeomorphism(16, rng=rng)) for _ in range(6)]
     # a map whose knot 1.0 is the preimage of a knot of f: positions repeat
@@ -163,8 +166,20 @@ def test_superpose_equals_the_argsort_path_bit_for_bit():
     k = float(f.knots[f.knots < 4.0][-1])
     cases.append((f, PLHomeomorphism(np.array([0.0, 1.0, 5.0]), np.array([0.0, k, 5.5]))))
     assert np.count_nonzero(cases[-1][1].invert().apply(f.knots) == 1.0) == 1
+    # the J = 7 profiles of the obstruction run under 32-knot maps, and under
+    # the maps at the +-12 clip, whose output spans are e^24 apart
+    sys7 = place_intervals(build_delta_sequence(ModulusSpec.power(1.0 / 3.0), 7), 10_922)
+    u7, v7 = build_u(sys7), build_v(sys7)
+    signs = np.where(np.random.default_rng(3).random(32) < 0.5, 1.0, -1.0)
+    maps = [random_homeomorphism(32, roughness=0.3, rng=seed) for seed in (101, 102, 103, 104)]
+    maps += [from_increments(np.tile([12.0, -12.0], 16)), from_increments(12.0 * signs)]
+    cases += [(g, h) for g in (u7, v7) for h in maps]
+    # a one-knot (constant) f, and a complex f built from u and v
+    cases += [(PiecewiseLinearFunction(np.array([t]), np.array([2.5])), h) for t in (0.0, 3.0) for h in maps[:2]]
+    cases += [(PiecewiseLinearFunction(u.knots, u.values + 1j * build_v(sys4)(u.knots)), h) for h in maps]
     for f, h in cases:
         knots, values = _superpose_by_argsort(f, h)
         fh = superpose(f, h)
         np.testing.assert_array_equal(fh.knots, knots)
         np.testing.assert_array_equal(fh.values, values)
+        assert fh.values.dtype == PiecewiseLinearFunction(knots, values).values.dtype
