@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface, and the package's only file I/O.
 
 Subcommands: verify, construct, seminorm, stieltjes, obstruct, lacunary.
 Flags may also be given through ``--config FILE`` as flat KEY=VALUE lines
@@ -9,6 +9,8 @@ that a check failed and 2 that the input was rejected.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -19,9 +21,12 @@ from .core import PiecewiseLinearFunction, sample
 from .fourier import pl_spectrum
 from .seminorm import ModulusSpec, pl_seminorm, sobolev_integral, sobolev_spectral
 from .construction import TriangleSystem, build_delta_sequence, build_f, build_u, build_v, place_intervals
-from .stieltjes import pairing_report, write_pairing_csv
+from .stieltjes import pairing_report
 
 _THIRD = 1.0 / 3.0
+# Cap of seminorm --grid and --max-freq (not of the library): at either, a
+# J = 4 profile peaks 41 or 64 MB above a default run's 62 MB (ru_maxrss).
+_MAX_SIZE = 1 << 20
 
 _ALIASES = {"alpha": "omega.alpha"}
 _CONFIG_KEYS = {
@@ -67,6 +72,31 @@ def _read_input(path: str | Path) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _write_output(path: str | Path, text: str) -> Path:
+    """Write an output file, making its parent directories; an unwritable path is rejected input."""
+    path = Path(path)
+    try:
+        if not path.parent.exists():  # an existing file there is reported by the write
+            path.parent.mkdir(parents=True)
+        path.write_text(text, newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return path
+
+
+def _json_text(payload) -> str:
+    """The JSON text of every output, on stdout and in files alike."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    """CSV with '\\n' line ends and floats written by ``repr``."""
+    out = io.StringIO()
+    rows = ([repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows)
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
 
 
 def _check_alpha(alpha: float, exploratory: bool) -> float:
@@ -154,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Invalid input (a ``ValueError``, which an input
-    file that cannot be read also raises) is reported as one
+    """Run one subcommand.  Invalid input (a ``ValueError``, also raised for a
+    file that cannot be read or written) is reported as one
     ``circlelab: error:`` line on stderr with exit code 2."""
     args = build_parser().parse_args(argv)
     try:
@@ -197,7 +227,7 @@ def _run(args, cfg: dict) -> int:
             "v": build_v(sys_).to_dict(),
             "f": build_f(sys_).to_dict(),
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_output(args.out, _json_text(payload))
         print(f"wrote {args.out}: {count} tents from {blocks} blocks (alpha={alpha})")
         return 0
 
@@ -206,15 +236,18 @@ def _run(args, cfg: dict) -> int:
         s = _resolve(args, cfg, "s", 0.5, float)
         grid = _resolve(args, cfg, "grid", 1 << 14, int)
         max_freq = _resolve(args, cfg, "max_freq", grid // 4, int)
+        for name, size in (("grid", grid), ("max_freq", max_freq)):
+            if size > _MAX_SIZE:
+                raise ValueError(f"{name} must be at most {_MAX_SIZE}, got {size}")
         spectral = sobolev_spectral(pl_spectrum(f, max_freq), s)
         integral = sobolev_integral(sample(f, grid))
         payload = {"spectral": spectral, "max_freq": max_freq, "integral": integral, "s": s, "N": grid}
         if s == 0.5:
             payload["exact"] = pl_seminorm(f)
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = _json_text(payload)
         if args.out:
-            Path(args.out).write_text(text + "\n")
-        print(text)
+            _write_output(args.out, text)
+        print(text, end="")
         return 0
 
     if args.command == "stieltjes":
@@ -223,17 +256,19 @@ def _run(args, cfg: dict) -> int:
             payload = payload["system"]
         sys_ = TriangleSystem.from_dict(payload)
         report = pairing_report(sys_, args.n)
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        text = _json_text(report.to_dict())
         if args.out:
-            Path(args.out).write_text(text + "\n")
+            _write_output(args.out, text)
         if args.csv:
-            write_pairing_csv(report, args.csv)
-        print(text)
+            columns = np.column_stack([report.weights, report.per_interval, report.lb_terms]).tolist()
+            rows = ([k, *row] for k, row in enumerate(columns, 1))
+            _write_output(args.csv, _csv_text(["k", "w_k", "contribution", "lower_bound_term"], rows))
+        print(text, end="")
         ok = bool(np.all(report.per_interval >= report.lb_terms - 1e-12))
         return 0 if ok else 1
 
     if args.command == "obstruct":
-        from .experiments import emit, run_obstruction
+        from .experiments import run_obstruction
         alpha = _check_alpha(_resolve(args, cfg, "alpha", _THIRD, float), args.exploratory)
         blocks_raw = _resolve(args, cfg, "blocks", "1,2,3", str)
         block_counts = [int(tok) for tok in str(blocks_raw).split(",") if tok.strip()]
@@ -245,10 +280,13 @@ def _run(args, cfg: dict) -> int:
             seed=_resolve(args, cfg, "seed", 7, int),
             strict=not args.exploratory,
         )
-        formats = ["json", "csv"] if args.format == "both" else [args.format]
-        for fmt in formats:
-            for path in emit(records, fmt, args.out):
-                print(f"wrote {path}")
+        rows = ([r.blocks, r.tents, r.sup_lower_bound, r.best_objective, r.evals] for r in records)
+        texts = {
+            "json": _json_text({"records": [r.to_dict() for r in records]}),
+            "csv": _csv_text(["J", "K", "sup_lower_bound", "min_product", "evals"], rows),
+        }
+        for fmt in ["json", "csv"] if args.format == "both" else [args.format]:
+            print(f"wrote {_write_output(Path(args.out) / f'obstruction.{fmt}', texts[fmt])}")
         violations = sum(r.violations for r in records)
         for r in records:
             print(
@@ -261,7 +299,7 @@ def _run(args, cfg: dict) -> int:
         from .experiments import lacunary_fixture
         terms = _resolve(args, cfg, "terms", 9, int)
         report = lacunary_fixture(terms)
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(_json_text(report.to_dict()), end="")
         return 0
 
     raise AssertionError("unreachable")

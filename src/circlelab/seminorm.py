@@ -137,12 +137,16 @@ class EquivalenceEstimate:
 
 
 def sobolev_spectral(c: SpectrumCoeffs, s: float) -> float:
-    """Spectral seminorm ( sum |fhat(k)|^2 |k|^(2s) )^(1/2), s > 0 finite."""
+    """Spectral seminorm ( sum |fhat(k)|^2 |k|^(2s) )^(1/2), s > 0 finite, if no overflow."""
     s = float(s)
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError(f"order s must be finite and positive, got {s}")
     k = np.abs(c.k_values).astype(float)
-    return math.sqrt(float(np.sum(np.abs(c.coeffs) ** 2 * k ** (2.0 * s))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(np.abs(c.coeffs) ** 2 * k ** (2.0 * s)))
+    if not math.isfinite(total):
+        raise ValueError(f"the order-s seminorm overflows float64 at s = {s}")
+    return math.sqrt(total)
 
 
 # Lewin's series (*Polylogarithms and Associated Functions*, 1981) for

@@ -13,10 +13,8 @@ too, so tent k's share is the sum of the pieces between those two knots.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,6 @@ __all__ = [
     "fourier_pairing",
     "pairing_report",
     "pairing_closed_form",
-    "write_pairing_csv",
     "duality_check",
 ]
 
@@ -103,22 +100,6 @@ class StieltjesReport:
             "lower_bound_terms": self.lb_terms.tolist(),
             "active": self.active.tolist(),
         }
-
-    def csv_rows(self):
-        """Rows (k, w_k, contribution, lower_bound_term), k 1-based."""
-        for i in range(self.per_interval.size):
-            yield (i + 1, float(self.weights[i]), float(self.per_interval[i]), float(self.lb_terms[i]))
-
-
-def write_pairing_csv(report: StieltjesReport, path) -> Path:
-    """Write a pairing report's per-tent rows to ``path`` as CSV."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "w_k", "contribution", "lower_bound_term"])
-        writer.writerows((k, repr(w), repr(c), repr(lb)) for k, w, c, lb in report.csv_rows())
-    return path
 
 
 def pairing_report(

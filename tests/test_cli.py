@@ -299,3 +299,141 @@ def test_seminorm_rejects_an_order_that_is_not_finite_and_positive(tmp_path, cap
     path.write_text(json.dumps(triangle(CircleInterval(1.0, 2.0)).to_dict()))
     assert main(["seminorm", "--in", str(path), f"--s={s}"]) == 2
     assert "order s must be finite and positive, got" in _one_error_line(capsys)
+
+
+# Every output file goes through one writer: each of the five outputs
+# creates missing parent directories, and a path through an existing file
+# is rejected input.
+_OUTPUTS = {
+    "construct": ["construct", "--blocks", "1", "--out", "{out}"],
+    "seminorm": ["seminorm", "--in", "{system}", "--grid", "1024", "--out", "{out}"],
+    "stieltjes-json": ["stieltjes", "--system", "{system}", "--n", "6", "--out", "{out}"],
+    "stieltjes-csv": ["stieltjes", "--system", "{system}", "--n", "6", "--csv", "{out}"],
+    "obstruct": [
+        "obstruct", "--blocks", "1", "--knots", "8", "--budget", "8", "--seed", "3",
+        "--format", "both", "--out", "{out}",
+    ],
+}
+
+
+def _output_args(name, tmp_path, out):
+    system = tmp_path / "system.json"
+    if not system.exists():
+        assert main(["construct", "--blocks", "1", "--out", str(system)]) == 0
+    return [a.format(out=out, system=system) for a in _OUTPUTS[name]]
+
+
+@pytest.mark.parametrize("name", sorted(_OUTPUTS))
+def test_every_output_creates_its_parent_directories(tmp_path, capsys, name):
+    out = tmp_path / "new" / "a" / "out"
+    assert main(_output_args(name, tmp_path, out)) == 0
+    if name == "obstruct":
+        assert (out / "obstruction.json").is_file() and (out / "obstruction.csv").is_file()
+    else:
+        assert out.is_file()
+
+
+@pytest.mark.parametrize("name", sorted(_OUTPUTS))
+def test_an_output_path_through_a_file_is_rejected(tmp_path, capsys, name):
+    args = _output_args(name, tmp_path, tmp_path / "afile" / "out")
+    (tmp_path / "afile").write_text("keep me\n")
+    capsys.readouterr()
+    assert main(args) == 2
+    err = _one_error_line(capsys)
+    assert err.startswith(f"circlelab: error: cannot write {tmp_path / 'afile' / 'out'}")
+    assert err.endswith(": Not a directory\n")
+    assert (tmp_path / "afile").read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("name", ["seminorm", "stieltjes-json"])
+def test_stdout_is_the_file_written_with_out(tmp_path, capsys, name):
+    out = tmp_path / "report.json"
+    args = _output_args(name, tmp_path, out)
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def _obstruct(out, fmt="both"):
+    return main([
+        "obstruct", "--blocks", "1,2", "--knots", "8", "--budget", "60", "--seed", "3",
+        "--format", fmt, "--out", str(out),
+    ])
+
+
+def test_obstruct_writes_json_and_csv_records(tmp_path, capsys):
+    from circlelab import ModulusSpec
+    from circlelab.experiments import ObstructionRecord, run_obstruction
+
+    assert _obstruct(tmp_path) == 0
+    records = run_obstruction(ModulusSpec.power(1.0 / 3.0), [1, 2], knots=8, budget=60, seed=3)
+    payload = json.loads((tmp_path / "obstruction.json").read_text())
+    assert len(payload["records"]) == 2
+    restored = [ObstructionRecord.from_dict(d) for d in payload["records"]]
+    assert [r.to_dict() for r in restored] == [r.to_dict() for r in records]
+    lines = (tmp_path / "obstruction.csv").read_text().splitlines()
+    assert lines[0] == "J,K,sup_lower_bound,min_product,evals"
+    assert lines[1:] == [
+        f"{r.blocks},{r.tents},{r.sup_lower_bound!r},{r.best_objective!r},{r.evals}" for r in records
+    ]
+
+
+def test_obstruct_files_are_byte_stable(tmp_path, capsys):
+    assert _obstruct(tmp_path / "a") == 0
+    assert _obstruct(tmp_path / "b") == 0
+    for name in ("obstruction.json", "obstruction.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_obstruct_rejects_an_unknown_format(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _obstruct(tmp_path, "xml")
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["seminorm", "--in", "{tent}", "--grid", "1048577"], "grid must be at most 1048576, got 1048577"),
+        (["seminorm", "--in", "{tent}", "--max-freq", "1048577"], "max_freq must be at most 1048576, got 1048577"),
+        (["seminorm", "--in", "{tent}", "--s", "400"], "the order-s seminorm overflows float64 at s = 400.0"),
+        (["obstruct", "--blocks", "1", "--knots", "1025", "--out", "{tmp}/run"], "knots must lie in [2, 1024], got 1025"),
+    ],
+)
+def test_a_size_past_its_cap_or_an_overflowing_order_is_rejected(tmp_path, capsys, args, message):
+    # each size is one past its cap and is refused before anything is built
+    from circlelab import CircleInterval, triangle
+
+    tent = tmp_path / "tent.json"
+    tent.write_text(json.dumps(triangle(CircleInterval(1.0, 2.0)).to_dict()))
+    assert main([a.format(tmp=tmp_path, tent=tent) for a in args]) == 2
+    assert _one_error_line(capsys) == f"circlelab: error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [tent]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the grid objective undercounts the J = 7 tents, so the audit flags every evaluation",
+)
+def test_obstruct_at_seven_blocks_reports_no_violation(tmp_path, capsys):
+    assert main(["obstruct", "--blocks", "7", "--budget", "40", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert "violations=0" in capsys.readouterr().out
+
+
+def test_stieltjes_csv_rows_are_the_report_arrays(tmp_path, capsys):
+    from circlelab import TriangleSystem, pairing_report
+
+    system = tmp_path / "system.json"
+    assert main(["construct", "--blocks", "2", "--out", str(system)]) == 0
+    csv_path = tmp_path / "pairing.csv"
+    assert main(["stieltjes", "--system", str(system), "--n", "6", "--csv", str(csv_path)]) == 0
+    report = pairing_report(TriangleSystem.from_dict(json.loads(system.read_text())["system"]), 6)
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, report.per_interval.size + 1))
+    # repr floats round-trip exactly
+    assert [[float(x) for x in row[1:]] for row in rows] == [
+        list(t) for t in zip(report.weights.tolist(), report.per_interval.tolist(), report.lb_terms.tolist())
+    ]

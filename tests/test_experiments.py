@@ -26,7 +26,6 @@ from circlelab.experiments import (
     VerifyConfig,
     check_construction_geometry,
     check_pairing,
-    emit,
     lacunary_fixture,
     run_obstruction,
     verify_all,
@@ -150,34 +149,6 @@ def test_record_round_trip():
     assert back.scope  # the family restriction is stated on every record
 
 
-def test_emit_json_and_csv(tmp_path):
-    records = smoke_records()
-    (json_path,) = emit(records, "json", tmp_path)
-    payload = json.loads(json_path.read_text())
-    assert len(payload["records"]) == 2
-    restored = [ObstructionRecord.from_dict(d) for d in payload["records"]]
-    assert [r.to_dict() for r in restored] == [r.to_dict() for r in records]
-    (csv_path,) = emit(records, "csv", tmp_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "J,K,sup_lower_bound,min_product,evals"
-    assert len(lines) == 3
-
-
-def test_emit_is_byte_stable(tmp_path):
-    records = smoke_records()
-    (p1,) = emit(records, "json", tmp_path / "a")
-    (p2,) = emit(records, "json", tmp_path / "b")
-    assert p1.read_bytes() == p2.read_bytes()
-    (c1,) = emit(records, "csv", tmp_path / "a")
-    (c2,) = emit(records, "csv", tmp_path / "b")
-    assert c1.read_bytes() == c2.read_bytes()
-
-
-def test_emit_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        emit(smoke_records(), "xml", tmp_path)
-
-
 def test_exploratory_sqrt_modulus_runs():
     records = run_obstruction(ModulusSpec.power(0.5), [1], knots=8, budget=40, seed=3, strict=False)
     assert records[0].violations == 0
@@ -193,6 +164,7 @@ def test_exploratory_sqrt_modulus_runs():
         ({"block_counts": []}, "need at least one block count"),
         ({"block_counts": iter([])}, "need at least one block count"),
         ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"knots": experiments.MAX_KNOTS + 1}, "knots must lie in"),
     ],
 )
 def test_run_obstruction_rejects_bad_inputs(kwargs, name, monkeypatch):

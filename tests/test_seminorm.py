@@ -137,6 +137,13 @@ def test_spectral_rejects_bad_order():
             sobolev_spectral(harmonic(1), s)
 
 
+def test_spectral_rejects_an_order_that_overflows():
+    # 2^800 is a float64, 3^800 is not; no overflow warning escapes
+    assert sobolev_spectral(harmonic(2), 400.0) == 2.0**400
+    with pytest.raises(ValueError, match=r"^the order-s seminorm overflows float64 at s = 400\.0$"):
+        sobolev_spectral(harmonic(3), 400.0)
+
+
 def test_integral_constant_vanishes():
     g = GridFunction(64, np.full(64, 2.3, dtype=complex))
     assert sobolev_integral(g) == 0.0
